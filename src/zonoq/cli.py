@@ -61,6 +61,9 @@ def load_matroid(path: str) -> tuple[RealizedMatroid, str]:
         raise InputError(f"matrix entries must be integers: {exc}") from exc
     d = len(entries)
     n = len(entries[0]) if entries else 0
+    for key in ("d", "n"):
+        if key in doc and (not isinstance(doc[key], int) or isinstance(doc[key], bool)):
+            raise InputError(f"'{key}' must be an integer, got {doc[key]!r}")
     if "d" in doc and doc["d"] != d:
         raise InputError(f"declared d={doc['d']} but matrix has {d} rows")
     if "n" in doc and doc["n"] != n:
@@ -129,6 +132,8 @@ def cmd_gorenstein(M: RealizedMatroid, name: str, args) -> int:
 
 
 def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
+    if args.m_max < 1:
+        raise InputError(f"--m-max must be at least 1, got {args.m_max}")
     if not M.is_unimodular():
         raise InputError("matrix is not unimodular: the graded Ehrhart "
                          "formulas do not apply")

@@ -75,15 +75,8 @@ def degree1_dim(M: RealizedMatroid) -> int:
     of the linear generators.  Equals T_M(2, 1)."""
     gens = segre_generators(M)
     nvars = 1 << M.n
-
-    def rows():
-        for g in gens.linear:
-            row = [0] * nvars
-            for mask, co in g.terms:
-                row[mask] += co
-            yield row
-
-    return nvars - echelon_rank(rows(), stop_at=nvars)
+    rows = (dict(g.terms) for g in gens.linear)
+    return nvars - echelon_rank(rows, stop_at=nvars)
 
 
 def _qdeg(monomial: tuple[int, ...]) -> int:
@@ -139,14 +132,9 @@ def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
     dims: dict[int, int] = {}
     for qd, block in index.items():
         ncols = len(block)
-        rows = sparse_rows.get(qd, [])
-        dense = []
-        for row in rows:
-            vec = [0] * ncols
-            for mono, co in row.items():
-                vec[block[mono]] = co
-            dense.append(vec)
-        dims[qd] = ncols - echelon_rank(dense, stop_at=ncols)
+        rows = ({block[mono]: co for mono, co in row.items()}
+                for row in sparse_rows.get(qd, []))
+        dims[qd] = ncols - echelon_rank(rows, stop_at=ncols)
     return LaurentQ(dims)
 
 

@@ -1,16 +1,19 @@
 """Exact integer linear algebra kernels.
 
 Everything here works on plain Python ints (no floats): fraction-free
-Bareiss elimination for ranks and determinants, a gcd-normalized streaming
-echelon for large row sets, and a Fraction-based nullspace solver that
-returns primitive integer kernel vectors.
+Bareiss elimination for the ranks and determinants of small dense matrices,
+a sparse streaming echelon for large row sets, and a Fraction-based
+nullspace solver that returns primitive integer kernel vectors.
+
+The sparse echelon takes each row as a ``{column: value}`` dict with int
+columns; an absent column is zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -78,36 +81,45 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def echelon_rank(rows: Iterable[Sequence[int]], stop_at: int | None = None) -> int:
-    """Rank of a stream of integer rows.
+def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) -> int:
+    """Rank of a stream of sparse integer rows, each a ``{column: value}``
+    dict (zero entries are dropped).
 
-    Maintains a gcd-normalized echelon basis; exits early once ``stop_at``
-    independent rows have been seen.  Suited to large redundant row sets
-    (spans of ideal generators) where most rows reduce to zero.
+    Pivot rows are kept by lead (smallest) column.  An incoming row is
+    reduced at its lead by ``row = (p/g) row - (f/g) pivot`` with
+    g = gcd(p, f), then divided by the gcd of its entries, until it is zero
+    or has a lead no pivot owns.  Exits once ``stop_at`` independent rows
+    have been seen.  Suited to large redundant row sets (spans of ideal
+    generators) where most rows reduce to zero.
     """
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
+    pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        row = list(r)
-        for pc, erow in echelon:
-            f = row[pc]
-            if f:
-                p = erow[pc]
-                row = [p * x for x in row]
-                for j in range(pc, len(row)):
-                    row[j] -= f * erow[j]
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
-                if g > 1:
-                    row = [v // g for v in row]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
+        row = {j: v for j, v in r.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                break
+            p, f = pivot[lead], row[lead]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
+            for j, v in pivot.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+        if not row:
             continue
-        echelon.append((lead, row))
-        echelon.sort(key=lambda t: t[0])
-        if stop_at is not None and len(echelon) >= stop_at:
-            return len(echelon)
-    return len(echelon)
+        pivots[lead] = row
+        if stop_at is not None and len(pivots) >= stop_at:
+            break
+    return len(pivots)
 
 
 def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:

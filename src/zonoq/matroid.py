@@ -252,7 +252,9 @@ def _find_circuits(rz: Realization) -> tuple[CircuitRep, ...]:
             if rank_int(sub) < size:
                 kern = nullspace_primitive(
                     [[cols[j][i] for j in combo] for i in range(rz.d)], size)
-                assert len(kern) == 1
+                if len(kern) != 1:
+                    raise ArithmeticError(
+                        f"circuit {combo} has a {len(kern)}-dimensional kernel")
                 circuits.append(CircuitRep(combo, kern[0]))
                 supports.append(frozenset(combo))
     return tuple(circuits)

@@ -116,19 +116,16 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
         if ncols > MONOMIAL_GUARD:
             raise GuardExceeded(
                 f"degree {k} has {ncols} monomials > {MONOMIAL_GUARD}")
-        monos = _monomials(d, k)
-        index = {mono: i for i, mono in enumerate(monos)}
+        index = {mono: i for i, mono in enumerate(_monomials(d, k))}
+        shifts = {s: _monomials(d, s) for s in {k - e for _, e in expanded if e <= k}}
 
         def rows():
             for poly, e in expanded:
                 if e > k:
                     continue
-                for shift_mono in _monomials(d, k - e):
-                    row = [0] * ncols
-                    for mono, co in poly.items():
-                        key = tuple(a + b for a, b in zip(mono, shift_mono))
-                        row[index[key]] = co
-                    yield row
+                for shift_mono in shifts[k - e]:
+                    yield {index[tuple(a + b for a, b in zip(mono, shift_mono))]: co
+                           for mono, co in poly.items()}
 
         rank = echelon_rank(rows(), stop_at=ncols)
         dim = ncols - rank

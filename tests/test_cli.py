@@ -125,6 +125,14 @@ class TestVerify:
         assert doc["status"] == "fail"
         assert any(w.startswith("thickening") for w in doc["witnesses"])
 
+    @pytest.mark.parametrize("m_max", ["0", "-1"])
+    def test_m_max_below_one_exits_2(self, hexagon_file, capsys, m_max):
+        code = run(["verify", hexagon_file, "--m-max", m_max])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--m-max" in captured.err and m_max in captured.err
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -145,6 +153,14 @@ class TestInputErrors:
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps({"d": 3, "matrix": [[1]]}))
         assert run(["qcount", str(path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [("d", "2"), ("n", 3.0), ("d", True)])
+    def test_non_integer_dimension(self, tmp_path, capsys, key, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({key: value, "matrix": [[1, 0, 1], [0, 1, 1]]}))
+        assert run(["tutte", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be an integer" in err and repr(value) in err
 
     def test_guard_named_in_message(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -1,0 +1,192 @@
+"""The sparse exact elimination kernel, against dense Bareiss rank and on
+graphic/cographic inputs beyond the n <= 6 corpus."""
+
+import random
+
+import pytest
+
+from zonoq import degree1_dim, from_matrix, verify_zonotopal
+from zonoq.linalg import echelon_rank, rank_int
+
+
+def as_dicts(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def random_matrix(rng, nrows, ncols, bound, density):
+    return [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def plant_dependent(rng, matrix, extra):
+    """Append ``extra`` random integer combinations of the existing rows,
+    each inserted at a random position."""
+    out = [list(r) for r in matrix]
+    for _ in range(extra):
+        coeffs = [rng.randint(-3, 3) for _ in matrix]
+        combo = [sum(c * r[j] for c, r in zip(coeffs, matrix))
+                 for j in range(len(matrix[0]))]
+        out.insert(rng.randint(0, len(out)), combo)
+    return out
+
+
+class TestAgainstBareiss:
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.1])
+    def test_random(self, density):
+        rng = random.Random(17)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+            m = random_matrix(rng, nrows, ncols, 5, density)
+            assert echelon_rank(as_dicts(m)) == rank_int(m)
+
+    def test_large_entries(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7),
+                              10**6, 0.6)
+            assert echelon_rank(as_dicts(m)) == rank_int(m)
+
+    def test_planted_dependent_rows(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            base = random_matrix(rng, rng.randint(1, 5), rng.randint(4, 9),
+                                 9, 0.5)
+            m = plant_dependent(rng, base, rng.randint(1, 6))
+            assert echelon_rank(as_dicts(m)) == rank_int(m) == rank_int(base)
+
+    def test_wide_sparse_columns(self):
+        # few nonzeros among many columns, keyed far apart, as Segre rows are
+        rng = random.Random(31)
+        for _ in range(20):
+            cols = rng.sample(range(4096), 12)
+            dense = random_matrix(rng, 10, 12, 4, 0.25)
+            rows = [{cols[j]: v for j, v in enumerate(r) if v} for r in dense]
+            assert echelon_rank(rows) == rank_int(dense)
+
+    def test_inputs_unchanged(self):
+        rows = [{0: 2, 1: 4}, {0: 3, 2: 1}, {0: 1, 1: 2}]
+        copies = [dict(r) for r in rows]
+        assert echelon_rank(rows) == 2
+        assert rows == copies
+
+
+class TestRowFormat:
+    def test_explicit_zero_entries(self):
+        rows = [{0: 0, 1: 1}, {0: 0, 1: 2, 2: 0}, {0: 5, 1: 0}]
+        assert echelon_rank(rows) == 2
+
+    def test_empty_rows(self):
+        assert echelon_rank([]) == 0
+        assert echelon_rank([{}, {}]) == 0
+        assert echelon_rank([{}, {3: 1}, {}, {3: -7}]) == 1
+
+    def test_all_zero_row(self):
+        assert echelon_rank([{0: 0, 5: 0}]) == 0
+
+
+class TestStopAt:
+    def consumed(self, rows, stop_at):
+        seen = []
+
+        def stream():
+            for r in rows:
+                seen.append(r)
+                yield r
+
+        return echelon_rank(stream(), stop_at=stop_at), len(seen)
+
+    def test_stops_at_the_row_that_reaches_it(self):
+        rows = [{0: 1}, {1: 1}, {0: 2, 1: -2}, {2: 1}, {3: 1}, {4: 1}]
+        assert self.consumed(rows, 3) == (3, 4)
+
+    def test_dependent_rows_do_not_count(self):
+        rows = [{0: 1}, {0: 3}, {0: -1}, {1: 1}]
+        assert self.consumed(rows, 2) == (2, 4)
+
+    def test_unreached_stop_consumes_everything(self):
+        rows = [{0: 1}, {0: 2}, {1: 1}]
+        assert self.consumed(rows, 5) == (2, 3)
+        assert self.consumed(rows, None) == (2, 3)
+
+
+def graphic(vertices, edges):
+    """Directed incidence matrix with the last vertex's row deleted
+    (connected graph: full row rank, totally unimodular)."""
+    return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
+            for v in range(vertices - 1)]
+
+
+def cographic(vertices, edges):
+    """Signed fundamental cycles of a BFS spanning tree: a basis of the
+    cycle space, realizing the dual of the graphic matroid."""
+    parent = {0: None}
+    queue = [0]
+    tree = set()
+    while queue:
+        v = queue.pop(0)
+        for k, (a, b) in enumerate(edges):
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in parent:
+                    parent[y] = (v, k)
+                    tree.add(k)
+                    queue.append(y)
+
+    def root_path(v):  # signed edge vector of the tree path v -> root
+        vec = [0] * len(edges)
+        while parent[v] is not None:
+            up, k = parent[v]
+            vec[k] += 1 if edges[k] == (v, up) else -1
+            v = up
+        return vec
+
+    rows = []
+    for k, (a, b) in enumerate(edges):
+        if k in tree:
+            continue
+        # edge a -> b, then the tree path b -> root -> a
+        pb, pa = root_path(b), root_path(a)
+        row = [x - y for x, y in zip(pb, pa)]
+        row[k] += 1
+        rows.append(row)
+    return rows
+
+
+WHEEL4 = (5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
+K4_PLUS = (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+K23_PLUS = (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
+THETA = (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
+
+GENERATED = {
+    "graphic_wheel4": graphic(*WHEEL4),
+    "graphic_k4_pendant": graphic(*K4_PLUS),
+    "graphic_k23_chord": graphic(*K23_PLUS),
+    "cographic_k4_pendant": cographic(*K4_PLUS),
+    "cographic_k23_chord": cographic(*K23_PLUS),
+    "cographic_theta": cographic(*THETA),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_matrix_shape(name):
+    m = GENERATED[name]
+    M = from_matrix(m)
+    assert 7 <= M.n <= 8
+    assert M.is_unimodular()
+
+
+@pytest.mark.parametrize("graph", [K4_PLUS, K23_PLUS, THETA])
+def test_cographic_is_dual(graph):
+    T = from_matrix(graphic(*graph)).tutte()
+    T_dual = from_matrix(cographic(*graph)).tutte()
+    assert dict(T_dual.items()) == {(b, a): c for (a, b), c in T.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_degree1_dim_is_t21(name):
+    M = from_matrix(GENERATED[name])
+    assert degree1_dim(M) == M.tutte().eval_int(2, 1)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_zonotopal_oracle(name):
+    assert verify_zonotopal(from_matrix(GENERATED[name]))

@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(GuardExceeded):
             from_matrix([[1] * 17])
 
+    def test_circuit_kernel_check_names_support(self, monkeypatch):
+        import zonoq.matroid as matroid
+        monkeypatch.setattr(matroid, "nullspace_primitive", lambda rows, n: [])
+        with pytest.raises(ArithmeticError, match=r"\(0, 1, 2\)"):
+            from_matrix([[1, 0, 1], [0, 1, 1]])
+
     def test_circuit_minimality_and_relation(self, corpus):
         for M in corpus.values():
             supports = [frozenset(c.support) for c in M.circuits]
