@@ -1,7 +1,7 @@
 """Exact graded (q-analogue) Ehrhart theory of unimodular zonotopes."""
 
 from .errors import GuardExceeded, NotUnimodular
-from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, bar_q, expand, q_integer, qbinom
+from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, bar_q, expand, qbinom
 from .gehrhart import (
     QIVP,
     GradedCount,
@@ -55,7 +55,7 @@ __all__ = [
     "ehr_tpower", "euler_mahonian", "eval_qivp", "expand", "external_spec",
     "from_matrix", "gorenstein_classify", "graded_count", "graded_hilbert",
     "h_rep", "hilbert", "interior_series", "internal_spec", "lattice_count",
-    "palindrome_check", "q_integer", "qbinom", "qivp_bar_series",
+    "palindrome_check", "qbinom", "qivp_bar_series",
     "qivp_series", "reciprocity_check", "segre_generators", "series",
     "tutte_count", "tutte_thickened", "verify_zonotopal",
 ]

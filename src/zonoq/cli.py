@@ -17,6 +17,7 @@ strings (arbitrary precision).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -138,6 +139,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         raise InputError("matrix is not unimodular: the graded Ehrhart "
                          "formulas do not apply")
     m_max = args.m_max
+    thicken = functools.cache(M.thicken)  # one build per m for both checks
     checks: list[dict] = []
     witnesses: list[str] = []
 
@@ -166,7 +168,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         if M.n * m > min(THICKEN_GUARD, ORACLE_GUARD) or M.d < 1:
             record("zonalg-vs-graded", tag, None)
             continue
-        thick = M.thicken(m)
+        thick = thicken(m)
         ext = zonalg.hilbert(zonalg.external_spec(thick)).as_laurent
         intr = zonalg.hilbert(zonalg.internal_spec(thick)).as_laurent
         ok = (ext == gehrhart.graded_count(M, m).value
@@ -195,7 +197,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         if M.n * m > THICKEN_GUARD:
             record("thickening", f"m={m}", None)
             continue
-        lhs = M.thicken(m).tutte()
+        lhs = thicken(m).tutte()
         rhs = tutte_thickened(M.tutte(), M.d, m)
         record("thickening", f"m={m}", lhs == rhs, f"{lhs!r} != {rhs!r}")
 

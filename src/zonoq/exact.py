@@ -217,11 +217,6 @@ def qbinom(m: int, k: int) -> LaurentQ:
     return val
 
 
-def q_integer(m: int) -> LaurentQ:
-    """The q-integer [m]_q for m >= 0."""
-    return LaurentQ.q_int(m)
-
-
 class PolyTQ:
     """A polynomial in t with ``LaurentQ`` coefficients (t-exponents >= 0)."""
 
@@ -293,18 +288,6 @@ class PolyTQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "PolyTQ":
-        if n < 0:
-            raise ValueError("negative powers are not defined for PolyTQ")
-        result = PolyTQ.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -333,10 +316,6 @@ class PolyTQ:
             prev = k
             out = out + self.coeffs[k] * power
         return out
-
-    def scale_q(self, factor: LaurentQ | int) -> "PolyTQ":
-        f = factor if isinstance(factor, LaurentQ) else LaurentQ.const(factor)
-        return PolyTQ({k: g * f for k, g in self.coeffs.items()})
 
     def t_reverse_bar(self, top: int) -> "PolyTQ":
         """Return t^top * self(1/t, 1/q); requires top >= t-degree."""
@@ -458,18 +437,6 @@ class BiPolyXY:
         return BiPolyXY(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPolyXY":
-        if n < 0:
-            raise ValueError("negative powers are not defined for BiPolyXY")
-        result = BiPolyXY.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPolyXY):

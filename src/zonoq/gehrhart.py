@@ -12,6 +12,9 @@ The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
 the bar involution q -> 1/q, t -> -qt, and rational generating functions all
 have closed forms.
+
+The Ehrhart polynomial (both forms) and both series are built once per
+matroid and then shared by every caller (see ``matroid.invariant``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import NotUnimodular
 from .exact import LaurentQ, PolyTQ, RatSeries, qbinom
-from .matroid import RealizedMatroid
+from .matroid import RealizedMatroid, invariant
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ def graded_count(M: RealizedMatroid, m: int, interior: bool = False) -> GradedCo
     return GradedCount(total.shift((n - d) * m), m, interior)
 
 
+@invariant
 def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
     """The graded Ehrhart polynomial in plain t-power form.
 
@@ -94,6 +98,7 @@ def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
     return out
 
 
+@invariant
 def ehr_poly(M: RealizedMatroid) -> QIVP:
     """The graded Ehrhart polynomial in the q-binomial basis.
 
@@ -138,44 +143,44 @@ def bar_eval(P: QIVP, m: int) -> LaurentQ:
     return out
 
 
-def qivp_series(P: QIVP) -> RatSeries:
-    """Generating function sum_{m>=0} P([m]_q) t^m as a RatSeries of order
-    equal to the degree of P."""
-    D = P.degree
-    # products prod_{i=k+1..D} (1 - t q^i), built from the top down
+def _tails(D: int) -> list[PolyTQ]:
+    """The products prod_{i=k+1}^{D} (1 - t q^i) for k = 0, ..., D."""
     tails = [PolyTQ.one()]
     for i in range(D, 0, -1):
         factor = PolyTQ({0: LaurentQ.one(), 1: LaurentQ.q_power(i, -1)})
         tails.append(tails[-1] * factor)
-    tails.reverse()  # tails[k] = prod_{i=k+1}^{D}
+    return tails[::-1]
+
+
+def qivp_series(P: QIVP) -> RatSeries:
+    """Generating function sum_{m>=0} P([m]_q) t^m as a RatSeries of order
+    equal to the degree of P."""
+    tails = _tails(P.degree)
     num = PolyTQ.zero()
     for k, f in enumerate(P.basis_coeffs):
         num = num + PolyTQ.t_power(k, f) * tails[k]
-    return RatSeries(num, D)
+    return RatSeries(num, P.degree)
 
 
 def qivp_bar_series(P: QIVP) -> RatSeries:
     """Generating function sum_{m>=1} bar(P)([m]_q) t^m over the same
-    denominator prod_{i=0}^{D} (1 - t q^i)."""
-    D = P.degree
-    tails = [PolyTQ.one()]
-    for i in range(D, 0, -1):
-        factor = PolyTQ({0: LaurentQ.one(), 1: LaurentQ.q_power(i, -1)})
-        tails.append(tails[-1] * factor)
-    tails.reverse()
+    denominator prod_{i=0}^{D} (1 - t q^i), D the degree of P."""
+    tails = _tails(P.degree)
     num = PolyTQ.zero()
     for k, f in enumerate(P.basis_coeffs):
         sign = -1 if k % 2 else 1
         coeff = f.bar().shift(k * (k + 1) // 2) * sign
         num = num + PolyTQ.t_power(1, coeff) * tails[k]
-    return RatSeries(num, D, interior=True)
+    return RatSeries(num, P.degree, interior=True)
 
 
+@invariant
 def series(M: RealizedMatroid) -> RatSeries:
     """The graded Ehrhart series: numerator over (1-t)...(1-tq^n)."""
     return qivp_series(ehr_poly(M))
 
 
+@invariant
 def interior_series(M: RealizedMatroid) -> RatSeries:
     """The interior graded Ehrhart series.
 

@@ -5,22 +5,47 @@ the ground set, 0-based).  Construction eagerly enumerates circuits (with
 their exact integer dependency coefficients) and cocircuit vectors, which the
 geometry and algebra layers use as the single source of combinatorial truth.
 
+Cocircuits come from one integer sweep over (d-1)-subsets of columns, whose
+cofactor vectors are the hyperplane normals; unimodularity is read off them
+(A is unimodular iff every cocircuit vector lies in {0, +-1}^n).
+
 Ground sets are capped at 16 elements: circuit/cocircuit search is by subset
 enumeration, which is exact and fast at desk scale.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GuardExceeded
 from .exact import BiPolyXY
 from .linalg import det_int, nullspace_primitive, primitive_vector, rank_int
 
 GROUND_GUARD = 16
+
+T = TypeVar("T")
+
+
+def invariant(build: Callable[["RealizedMatroid"], T]
+              ) -> Callable[["RealizedMatroid"], T]:
+    """Cache ``build(M)`` on the matroid M: built on the first call, the
+    same object returned on every later one, so callers must not mutate it.
+    """
+    key = build.__qualname__
+
+    @functools.wraps(build)
+    def cached(M: "RealizedMatroid") -> T:
+        store = M._derived
+        if key not in store:
+            store[key] = build(M)
+        return store[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -74,10 +99,12 @@ class Component:
 
 
 class RealizedMatroid:
-    """Matroid of an integer matrix, with cached rank and Tutte queries.
+    """Matroid of an integer matrix, with cached rank queries and derived
+    invariants (unimodularity, Tutte polynomial, Ehrhart data).
 
     Immutable after construction; all caches are written once per key, so
-    read-only sharing across workers is safe.
+    read-only sharing across workers is safe.  Cached values are handed to
+    every caller and must not be mutated.
     """
 
     def __init__(self, realization: Realization,
@@ -87,8 +114,7 @@ class RealizedMatroid:
         self.circuits = circuits
         self.cocircuits = cocircuits
         self._rank_cache: dict[frozenset, int] = {}
-        self._unimodular: bool | None = None
-        self._tutte: BiPolyXY | None = None
+        self._derived: dict[str, object] = {}  # written by @invariant
 
     @property
     def d(self) -> int:
@@ -124,18 +150,17 @@ class RealizedMatroid:
 
     # -- unimodularity ------------------------------------------------------
 
+    @invariant
     def is_unimodular(self) -> bool:
-        """True iff every maximal (d x d) minor lies in {-1, 0, 1}."""
-        if self._unimodular is None:
-            ok = True
-            for combo in itertools.combinations(range(self.n), self.d):
-                sub = [[self.realization.entries[i][j] for j in combo]
-                       for i in range(self.d)]
-                if abs(det_int(sub)) > 1:
-                    ok = False
-                    break
-            self._unimodular = ok
-        return self._unimodular
+        """True iff every maximal (d x d) minor lies in {-1, 0, 1}.
+
+        Decided as: every cocircuit vector v = c^T A (c primitive) lies in
+        {0, +-1}^n.  Then for a basis B the normals C of the hyperplanes
+        spanned by B - {b_i} make C^T B a diagonal +-1 matrix, so det B = +-1;
+        conversely, if det B = +-1, the rows of B^-1 are those normals and
+        the entries of B^-1 A are maximal minors (Cramer's rule).
+        """
+        return all(-1 <= x <= 1 for cc in self.cocircuits for x in cc.v)
 
     # -- minors ---------------------------------------------------------------
 
@@ -181,11 +206,9 @@ class RealizedMatroid:
 
     # -- Tutte polynomial --------------------------------------------------------
 
+    @invariant
     def tutte(self) -> BiPolyXY:
-        if self._tutte is None:
-            cols = tuple(self.realization.columns())
-            self._tutte = _tutte_cols(cols, self.d)
-        return self._tutte
+        return _tutte_cols(tuple(self.realization.columns()), self.d)
 
     # -- connectivity ---------------------------------------------------------
 
@@ -261,29 +284,34 @@ def _find_circuits(rz: Realization) -> tuple[CircuitRep, ...]:
 
 
 def _find_cocircuits(rz: Realization) -> tuple[CocircuitVector, ...]:
-    if rz.d == 0:
+    """One cocircuit per hyperplane spanned by a (d-1)-subset of columns.
+
+    The subset's cofactor vector c_i = (-1)^i det(subset minus row i) is zero
+    iff its rank is below d - 1, else c / gcd(c) is the primitive normal of
+    its span.  Subsets inside a hyperplane already found are skipped.
+    """
+    d, n, rows = rz.d, rz.n, rz.entries
+    if d == 0:
         return ()
-    cols = rz.columns()
-    seen: dict[tuple[int, ...], CocircuitVector] = {}
-    for combo in itertools.combinations(range(rz.n), rz.d - 1):
-        sub = [cols[j] for j in combo]
-        if rank_int(sub) != rz.d - 1:
+    found: list[CocircuitVector] = []
+    zero_sets: list[int] = []  # bitmask of the columns each hyperplane holds
+    for combo in itertools.combinations(range(n), d - 1):
+        mask = sum(1 << j for j in combo)
+        if any(mask & z == mask for z in zero_sets):
             continue
-        kern = nullspace_primitive(sub, rz.d)
-        if len(kern) != 1:  # defensive; rank d-1 forces nullity 1
+        sub = [[rows[i][j] for j in combo] for i in range(d)]
+        c = [det_int(sub[:i] + sub[i + 1:]) * (-1) ** i for i in range(d)]
+        g = gcd(*c)
+        if not g:
             continue
-        c = kern[0]
-        v = tuple(sum(c[i] * rz.entries[i][j] for i in range(rz.d))
-                  for j in range(rz.n))
-        for x in v:
-            if x:
-                if x < 0:
-                    v = tuple(-y for y in v)
-                    c = tuple(-y for y in c)
-                break
-        if v not in seen:
-            seen[v] = CocircuitVector(v, c, sum(1 for x in v if x))
-    return tuple(sorted(seen.values(), key=lambda cc: cc.v))
+        v = [sum(c[i] * rows[i][j] for i in range(d)) for j in range(n)]
+        if next(x for x in v if x) < 0:
+            g = -g
+        c = tuple(x // g for x in c)
+        v = tuple(x // g for x in v)
+        found.append(CocircuitVector(v, c, sum(1 for x in v if x)))
+        zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
+    return tuple(sorted(found, key=lambda cc: cc.v))
 
 
 # -- contraction transform ----------------------------------------------------

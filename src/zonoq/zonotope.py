@@ -1,8 +1,8 @@
 """Geometry oracle: facet description and brute-force lattice-point counts.
 
 The H-description of Z = A * [0,1]^n comes straight from the cocircuit
-vectors: each one gives a pair of parallel facet inequalities whose width
-equals its support size when A is unimodular.  Counting is plain enumeration
+vectors: each one gives a pair of parallel facet inequalities, of width
+equal to its support size since A is unimodular.  Counting is plain enumeration
 of the bounding box filtered through those inequalities, which is exact and
 independent of every closed formula it is used to check.
 """
@@ -42,21 +42,18 @@ class LatticePointSet:
 def h_rep(M: RealizedMatroid) -> HRep:
     """Facet inequality pairs of Z, one per cocircuit vector.
 
-    Raises NotUnimodular when some pair's width differs from the cocircuit
-    support size (which certifies a maximal minor outside {-1, 0, 1}).
+    Raises NotUnimodular, naming a cocircuit vector with an entry outside
+    {-1, 0, 1}, when M is not unimodular.
     """
     if M.d < 1:
         raise ValueError("h_rep requires d >= 1")
-    facets = []
-    for cc in M.cocircuits:
-        amin = sum(min(0, x) for x in cc.v)
-        amax = sum(max(0, x) for x in cc.v)
-        if amax - amin != cc.support_size:
-            raise NotUnimodular(
-                f"facet width {amax - amin} != support size {cc.support_size} "
-                f"for cocircuit {cc.v}")
-        facets.append(Facet(cc.c, amin, amax))
-    return HRep(tuple(facets), M.d)
+    if not M.is_unimodular():
+        bad = next(cc.v for cc in M.cocircuits if max(map(abs, cc.v)) > 1)
+        raise NotUnimodular(
+            f"cocircuit vector {bad} has an entry outside {{-1, 0, 1}}")
+    facets = tuple(Facet(cc.c, -cc.v.count(-1), cc.v.count(1))
+                   for cc in M.cocircuits)
+    return HRep(facets, M.d)
 
 
 def lattice_count(M: RealizedMatroid, m: int, interior: bool = False

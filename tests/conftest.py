@@ -25,6 +25,13 @@ CORPUS_MATRICES = {
 # the non-unimodular diamond (det 2); negative example only
 DIAMOND = [[1, 1], [-1, 1]]
 
+
+def graphic(vertices, edges):
+    """Directed incidence matrix with the last vertex's row deleted
+    (connected graph: full row rank, totally unimodular)."""
+    return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
+            for v in range(vertices - 1)]
+
 EXPECTED_VERDICT = {
     "boolean1": "boolean",
     "boolean2": "boolean",

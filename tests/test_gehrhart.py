@@ -1,10 +1,11 @@
 """The analytic core: graded counts, quantum Ehrhart polynomials, series."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import DIAMOND
+from conftest import CORPUS_MATRICES, DIAMOND, graphic
 from zonoq import (
     NotUnimodular,
     QIVP,
@@ -21,6 +22,7 @@ from zonoq import (
     qivp_series,
     reciprocity_check,
     series,
+    tutte_count,
 )
 from zonoq.exact import LaurentQ, PolyTQ
 
@@ -248,3 +250,55 @@ class TestQuantumReciprocityFormal:
             assert bar_coeffs[0] == LaurentQ.zero()
             for m in range(1, 7):
                 assert bar_coeffs[m] == bar_eval(P, m)
+
+
+class TestCachedPerMatroid:
+    def test_second_call_returns_the_same_object(self, corpus):
+        for M in corpus.values():
+            for build in (ehr_tpower, ehr_poly, series, interior_series):
+                assert build(M) is build(M)
+
+    def test_cached_value_equals_a_fresh_build(self, corpus):
+        for name, M in corpus.items():
+            fresh = from_matrix(CORPUS_MATRICES[name])
+            for build in (ehr_tpower, ehr_poly, series, interior_series):
+                assert build(M) == build(fresh), name
+
+    def test_reciprocity_after_cached_reads(self):
+        for mat in CORPUS_MATRICES.values():
+            M = from_matrix(mat)
+            for build in (series, interior_series, ehr_poly):
+                build(M)
+            assert reciprocity_check(M, 3)
+
+
+# the ground-set guard: the wheel with 8 spokes (d = 8, n = 16), and K6
+WHEEL8 = graphic(9, [(0, i) for i in range(1, 9)]
+                 + [(i, i % 8 + 1) for i in range(1, 9)])
+K6 = graphic(6, list(itertools.combinations(range(6), 2)))
+
+
+class TestGuardScale:
+    @pytest.fixture(scope="class", params=["wheel8", "K6"])
+    def big(self, request):
+        return from_matrix({"wheel8": WHEEL8, "K6": K6}[request.param])
+
+    def test_unimodular(self, big):
+        assert big.is_unimodular()
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_q1_is_stanley_count(self, big, interior):
+        for m in (1, 2):
+            assert graded_count(big, m, interior).value.eval_at_one() == \
+                tutte_count(big, m, interior)
+
+    def test_series_expansions_match_counts(self, big):
+        coeff = expand(series(big), 2)
+        coeff_int = expand(interior_series(big), 2)
+        assert all(coeff[m] == graded_count(big, m).value for m in range(3))
+        assert all(coeff_int[m] == graded_count(big, m, interior=True).value
+                   for m in (1, 2))
+        assert not coeff_int[0]
+
+    def test_reciprocity(self, big):
+        assert reciprocity_check(big, 2)

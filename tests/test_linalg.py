@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import graphic
 from zonoq import degree1_dim, from_matrix, verify_zonotopal
 from zonoq.linalg import echelon_rank, rank_int
 
@@ -107,13 +108,6 @@ class TestStopAt:
         rows = [{0: 1}, {0: 2}, {1: 1}]
         assert self.consumed(rows, 5) == (2, 3)
         assert self.consumed(rows, None) == (2, 3)
-
-
-def graphic(vertices, edges):
-    """Directed incidence matrix with the last vertex's row deleted
-    (connected graph: full row rank, totally unimodular)."""
-    return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
-            for v in range(vertices - 1)]
 
 
 def cographic(vertices, edges):

@@ -22,7 +22,7 @@ class TestHRep:
         assert [(f.c, f.alpha_min, f.alpha_max) for f in rep.facets] == [((1,), 0, 2)]
 
     def test_diamond_rejected(self):
-        with pytest.raises(NotUnimodular):
+        with pytest.raises(NotUnimodular, match=r"cocircuit vector \(0, 2\)"):
             h_rep(from_matrix(DIAMOND))
 
     def test_d0_rejected(self):
