@@ -14,8 +14,8 @@ so ``==`` is structural equality of the underlying term maps.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 
 class LaurentQ:

@@ -1,9 +1,9 @@
 """Exact integer linear algebra kernels.
 
-Everything here works on plain Python ints (no floats): fraction-free
-Bareiss elimination for the ranks and determinants of small dense matrices,
-a sparse streaming echelon for large row sets, and a Fraction-based
-nullspace solver that returns primitive integer kernel vectors.
+Everything here works on plain Python ints (no floats, no rationals):
+fraction-free Bareiss elimination for small dense matrices (one forward
+loop for ranks and determinants; ``rref_int``, the Gauss-Jordan form that
+kernels are read from) and a sparse streaming echelon for large row sets.
 
 The sparse echelon takes each row as a ``{column: value}`` dict with int
 columns; an absent column is zero.
@@ -11,7 +11,6 @@ columns; an absent column is zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -23,27 +22,29 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free Gaussian elimination."""
+def _forward(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Forward Bareiss elimination: (rank, signed last pivot), the latter
+    being the determinant of a square matrix of full rank."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
     prev = 1
+    sign = 1
     for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
+        for piv in range(rank, nr):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
         for i in range(rank + 1, nr):
-            f = m[i][col]
             row = m[i]
-            top = m[rank]
+            f = row[col]
             for j in range(col + 1, nc):
                 row[j] = _exact_div(p * row[j] - f * top[j], prev)
             row[col] = 0
@@ -51,34 +52,50 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
         rank += 1
         if rank == nr:
             break
-    return rank
+    return rank, sign * prev
+
+
+def rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix via fraction-free Gaussian elimination."""
+    return _forward(rows)[0]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
+    """Determinant of a square integer matrix (Bareiss); 1 for 0 x 0."""
+    rank, last = _forward(rows)
+    return last if rank == len(rows) else 0
+
+
+def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The fraction-free Gauss-Jordan form: (pivot columns, R = D * rref(rows)).
+
+    Each pivot step replaces every other row by
+    ``(p * row - f * pivot_row) / prev``, exact by Sylvester's identity, so
+    each pivot entry of R ends equal to D, the last pivot (1 if none), and
+    the pivot columns are the leftmost (greedy) column basis.
+    """
     m = [list(r) for r in rows]
-    sign = 1
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots: list[int] = []
     prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for col in range(nc):
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[col]
+        for i in range(nr):
+            if i != r:
+                f = m[i][col]
+                m[i] = [_exact_div(p * a - f * b, prev) for a, b in zip(m[i], top)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == nr:
+            break
+    return pivots, m
 
 
 def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) -> int:
@@ -122,62 +139,29 @@ def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) 
     return len(pivots)
 
 
-def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, first nonzero
-    entry positive."""
-    fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries, first nonzero
+    entry positive (the zero vector is returned as is)."""
+    g = gcd(*vec)
+    if g and next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 def nullspace_primitive(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel of an integer matrix.
 
-    Vectors are sign-normalized (first nonzero entry positive) and returned
-    in order of their free column.
+    Read off ``rref_int``: free column fc gives the vector with D at fc and
+    -R[i][fc] at the i-th pivot column.  Vectors are sign-normalized (first
+    nonzero entry positive) and returned in order of their free column.
     """
-    m = [[Fraction(v) for v in r] for r in rows]
-    nr = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, R = rref_int(rows)
+    D = R[0][pivots[0]] if pivots else 1
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = D
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[fc]
         basis.append(primitive_vector(vec))
     return basis

@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GuardExceeded
 from .exact import BiPolyXY
-from .linalg import det_int, nullspace_primitive, primitive_vector, rank_int
+from .linalg import (det_int, nullspace_primitive, primitive_vector, rank_int,
+                     rref_int)
 
 GROUND_GUARD = 16
 
@@ -144,9 +144,7 @@ class RealizedMatroid:
                      if not any(self.realization.column(j)))
 
     def coloops(self) -> tuple[int, ...]:
-        full = range(self.n)
-        return tuple(j for j in full
-                     if self.rank(set(full) - {j}) == self.d - 1)
+        return _coloops(*rref_int(self.realization.entries))
 
     # -- unimodularity ------------------------------------------------------
 
@@ -357,63 +355,45 @@ def _column_to_e1(rows: list[list[int]], j: int) -> list[list[int]]:
 _TUTTE_MEMO: dict[tuple, BiPolyXY] = {}
 
 
-def _canonical_signature(cols: tuple[tuple[int, ...], ...], d: int) -> tuple:
-    """Memo key invariant under row operations and column scaling.
+def _coloops(pivots: list[int], R: list[list[int]]) -> tuple[int, ...]:
+    """Coloops from a solved form ``rref_int(A)``: the pivot columns whose
+    row of R is zero off the pivot, i.e. that no other column needs."""
+    return tuple(pc for pc, row in zip(pivots, R)
+                 if sum(1 for x in row if x) == 1)
 
-    Columns are rewritten in the greedy basis (so the basis columns become
-    unit vectors), normalized to primitive sign-fixed integer tuples, and
-    sorted; minors reached along different deletion/contraction orders then
-    share an entry.  Equal keys always describe isomorphic column
-    configurations, hence equal Tutte polynomials, so cross-matroid sharing
-    is sound.
+
+def _canonical_signature(cols: tuple[tuple[int, ...], ...], d: int
+                         ) -> tuple[tuple, tuple[int, ...]]:
+    """Memo key invariant under row operations and column scaling, and the
+    coloops, both from one ``rref_int`` of the d x n matrix.
+
+    Its pivot columns are the greedy basis B and its column j is
+    D * B^-1 a_j, which ``primitive_vector`` turns into the coordinates of
+    a_j in B, primitive and sign-fixed.  Sorted, they form the key, so
+    minors reached along different deletion/contraction orders share an
+    entry.  Equal keys always describe isomorphic column configurations,
+    hence equal Tutte polynomials, so cross-matroid sharing is sound.
     """
     n = len(cols)
     if d == 0:
-        return (0, n)
-    basis: list[tuple[int, ...]] = []
-    for col in cols:
-        if len(basis) == d:
-            break
-        if rank_int(basis + [col]) > len(basis):
-            basis.append(col)
-    # solve B * X = A over Q, where B has the basis vectors as columns
-    aug = [[Fraction(basis[k][i]) for k in range(d)] +
-           [Fraction(cols[j][i]) for j in range(n)]
-           for i in range(d)]
-    for c in range(d):
-        piv = next(i for i in range(c, d) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(d):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    sig = sorted(primitive_vector([aug[i][d + j] for i in range(d)])
-                 for j in range(n))
-    return (d, tuple(sig))
+        return (0, n), ()
+    pivots, R = rref_int(list(zip(*cols)))
+    sig = sorted(primitive_vector(col) for col in zip(*R))
+    return (d, tuple(sig)), _coloops(pivots, R)
 
 
 def _tutte_cols(cols: tuple[tuple[int, ...], ...], d: int) -> BiPolyXY:
     if not cols:
         return BiPolyXY.one()
-    key = _canonical_signature(cols, d)
+    key, coloops = _canonical_signature(cols, d)
     hit = _TUTTE_MEMO.get(key)
     if hit is not None:
         return hit
-    loop_count = 0
-    coloop_count = 0
-    pivot = None
-    for j, col in enumerate(cols):
-        if not any(col):
-            loop_count += 1
-        elif rank_int(cols[:j] + cols[j + 1:]) < d:
-            coloop_count += 1
-        else:
-            pivot = j
-            break
+    # the first element that is neither a loop nor a coloop
+    pivot = next((j for j, col in enumerate(cols)
+                  if any(col) and j not in coloops), None)
     if pivot is None:
-        result = BiPolyXY.monomial(coloop_count, loop_count)
+        result = BiPolyXY.monomial(len(coloops), len(cols) - len(coloops))
     else:
         deleted = cols[:pivot] + cols[pivot + 1:]
         result = _tutte_cols(deleted, d) + _tutte_cols(_contract_cols(cols, pivot), d - 1)

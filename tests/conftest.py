@@ -1,4 +1,7 @@
-"""Shared corpus of unimodular test matrices (and one non-unimodular)."""
+"""Shared corpus of unimodular test matrices (and one non-unimodular), and
+the Fraction references that the integer kernels are tested against."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +34,40 @@ def graphic(vertices, edges):
     (connected graph: full row rank, totally unimodular)."""
     return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
             for v in range(vertices - 1)]
+
+
+def fraction_rref(rows, ncols):
+    """(pivot columns, reduced row echelon form over Fractions), the
+    rational reference for the integer kernels."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, m
+
+
+def fraction_kernel(rows, ncols):
+    """Basis of the right kernel of a rational matrix, by reduced row
+    echelon form over Fractions."""
+    pivots, m = fraction_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][free]
+        basis.append(vec)
+    return basis
+
 
 EXPECTED_VERDICT = {
     "boolean1": "boolean",

@@ -1,13 +1,22 @@
-"""The sparse exact elimination kernel, against dense Bareiss rank and on
-graphic/cographic inputs beyond the n <= 6 corpus."""
+"""The exact elimination kernels: the sparse echelon against dense Bareiss
+rank, the dense integer kernels against Fraction and Leibniz references,
+and the algebra oracles on graphic/cographic inputs beyond the n <= 6
+corpus."""
 
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import graphic
+import zonoq
+from conftest import fraction_kernel, fraction_rref, graphic
 from zonoq import degree1_dim, from_matrix, verify_zonotopal
-from zonoq.linalg import echelon_rank, rank_int
+from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive, rank_int,
+                          rref_int)
 
 
 def as_dicts(matrix):
@@ -108,6 +117,102 @@ class TestStopAt:
         rows = [{0: 1}, {0: 2}, {1: 1}]
         assert self.consumed(rows, 5) == (2, 3)
         assert self.consumed(rows, None) == (2, 3)
+
+
+def kernel_cases():
+    """(rows, ncols): seeded random matrices, wide, tall and square, many
+    rank-deficient, entries up to 5 or 10**6, plus zero-row and empty
+    matrices."""
+    cases = [([], 0), ([], 3), ([[0, 0, 0]], 3), ([[0], [0]], 1),
+             ([[0, 0], [0, 0], [0, 0]], 2), ([[2, 4, 6]], 3)]
+    rng = random.Random(43)
+    for bound in (5, 10**6):
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            m = random_matrix(rng, nrows, ncols, bound, rng.choice((1.0, 0.5)))
+            if rng.random() < 0.5:
+                m = plant_dependent(rng, m[:max(1, nrows // 2)], nrows // 2)
+            cases.append((m, ncols))
+    return cases
+
+
+def primitive_reference(vec):
+    """A nonzero rational vector scaled to a primitive integer vector with
+    first nonzero entry positive."""
+    lcm = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * lcm) for x in vec]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+class TestDenseKernels:
+    def test_rref_int_is_scaled_rref(self):
+        shapes = set()
+        for rows, ncols in kernel_cases():
+            pivots, R = rref_int(rows)
+            ref_pivots, ref = fraction_rref(rows, ncols)
+            assert pivots == ref_pivots, rows
+            D = R[0][pivots[0]] if pivots else 1
+            assert D != 0
+            assert R == [[D * x for x in row] for row in ref], rows
+            shapes.add((len(pivots) < len(rows), len(rows) < ncols))
+        assert shapes == {(False, False), (False, True), (True, False),
+                          (True, True)}
+
+    def test_nullspace_matches_fraction_kernel(self):
+        for rows, ncols in kernel_cases():
+            assert nullspace_primitive(rows, ncols) == \
+                [primitive_reference(v) for v in fraction_kernel(rows, ncols)], rows
+
+    def test_kernel_vectors_are_primitive(self):
+        for rows, ncols in kernel_cases():
+            for vec in nullspace_primitive(rows, ncols):
+                assert math.gcd(*vec) == 1
+                assert next(x for x in vec if x) > 0
+                assert all(sum(a * x for a, x in zip(row, vec)) == 0
+                           for row in rows)
+
+    def test_rref_int_leaves_input_unchanged(self):
+        rows = [[0, 2, 4], [3, 1, 1]]
+        rref_int(rows)
+        assert rows == [[0, 2, 4], [3, 1, 1]]
+
+
+def leibniz(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestDeterminant:
+    def test_against_leibniz(self):
+        rng = random.Random(47)
+        singular = 0
+        for _ in range(400):
+            n = rng.randint(0, 5)  # n = 0: the empty product, 1
+            m = random_matrix(rng, n, n, rng.choice((2, 10**6)),
+                              rng.choice((1.0, 0.6, 0.3)))
+            if n >= 2 and rng.random() < 0.3:
+                m = plant_dependent(rng, m[:n - 1], 1)
+            det = det_int(m)
+            assert det == leibniz(m), m
+            assert (rank_int(m) == n) == (det != 0)
+            singular += det == 0
+        assert singular > 50
+
+
+def test_package_imports_no_fractions():
+    src = os.path.dirname(os.path.dirname(zonoq.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import zonoq, zonoq.cli; "
+            "print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def cographic(vertices, edges):

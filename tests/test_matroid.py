@@ -1,13 +1,13 @@
 """Realized matroids: circuits, cocircuits, rank, minors, Tutte, thickening."""
 
+import collections
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from conftest import DIAMOND
+from conftest import DIAMOND, fraction_kernel
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.linalg import det_int, rank_int
@@ -17,32 +17,6 @@ def brute_independent_sets(M) -> int:
     return sum(1 for r in range(M.n + 1)
                for S in itertools.combinations(range(M.n), r)
                if M.rank(S) == r)
-
-
-def fraction_kernel(rows, ncols):
-    """Basis of the right kernel of a rational matrix, by reduced row
-    echelon form over Fractions."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        r = len(pivots)
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][free]
-        basis.append(vec)
-    return basis
 
 
 def reference_cocircuits(A):
@@ -238,6 +212,34 @@ class TestTutte:
     def test_corank_nullity_normalization(self, corpus):
         for name, M in corpus.items():
             assert M.tutte().eval_int(2, 2) == 2**M.n, name
+
+    def test_sweep_matches_corank_nullity(self):
+        # T(x, y) = sum over S of (x-1)^(d - r(S)) (y-1)^(|S| - r(S)).
+        # One process, no memo reset: minors of different matroids share
+        # memo entries, so a key that merged two configurations would show.
+        for A in sweep_matrices():
+            M = from_matrix(A)
+            corank_nullity = collections.Counter(
+                (M.d - M.rank(S), size - M.rank(S))
+                for size in range(M.n + 1)
+                for S in itertools.combinations(range(M.n), size))
+            terms = collections.Counter()
+            for (a, b), count in corank_nullity.items():
+                for i in range(a + 1):
+                    for j in range(b + 1):
+                        terms[i, j] += (count * math.comb(a, i) * math.comb(b, j)
+                                        * (-1) ** (a - i + b - j))
+            assert M.tutte() == BiPolyXY(terms), A
+
+    def test_sweep_coloops_match_rank_drop(self):
+        counts = set()
+        for A in sweep_matrices():
+            M = from_matrix(A)
+            everything = set(range(M.n))
+            assert M.coloops() == tuple(
+                j for j in range(M.n) if M.rank(everything - {j}) < M.d), A
+            counts.add(min(len(M.coloops()), 2))
+        assert counts == {0, 1, 2}
 
     def test_deletion_contraction_identity(self, corpus):
         rng = random.Random(17)
