@@ -42,14 +42,14 @@ from .zonalg import (
     internal_spec,
     verify_zonotopal,
 )
-from .zonotope import HRep, LatticePointSet, h_rep, lattice_count, tutte_count
+from .zonotope import HRep, h_rep, lattice_count, tutte_count
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiPolyXY", "CircuitRep", "CocircuitVector", "GorensteinVerdict",
     "GradedCount", "GradedIdealSpec", "GuardExceeded", "HRep",
-    "HilbertFunction", "LatticePointSet", "LaurentQ", "NotUnimodular",
+    "HilbertFunction", "LaurentQ", "NotUnimodular",
     "PolyTQ", "QIVP", "RatSeries", "Realization", "RealizedMatroid",
     "SegreGenerators", "bar_eval", "bar_q", "degree1_dim", "ehr_poly",
     "ehr_tpower", "euler_mahonian", "eval_qivp", "expand", "external_spec",

@@ -153,7 +153,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         for interior in (False, True):
             tag = f"m={m}{' interior' if interior else ''}"
             try:
-                _, count = zonotope.lattice_count(M, m, interior)
+                count = zonotope.lattice_count(M, m, interior)
             except GuardExceeded:
                 record("lattice-vs-tutte", tag, None)
                 continue

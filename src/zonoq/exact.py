@@ -6,113 +6,147 @@ Four value types, all exact over Python's arbitrary-precision integers:
 * ``PolyTQ``    -- polynomials in t whose coefficients are ``LaurentQ``.
 * ``RatSeries`` -- a ``PolyTQ`` numerator over the fixed denominator
   (1-t)(1-tq)...(1-tq^order).
-* ``BiPolyXY``  -- integer polynomials in two variables x and y.
+* ``BiPolyXY``  -- integer polynomials in two variables x and y, held as
+  polynomials in x whose coefficients are ``LaurentQ`` in y.
 
-There is no floating point anywhere.  Every constructor strips zero terms,
-so ``==`` is structural equality of the underlying term maps.
+There is no floating point anywhere.  ``LaurentQ``, ``PolyTQ`` and
+``BiPolyXY`` share one dense core: a lowest exponent and a tuple of
+coefficients whose first and last entries are nonzero.  Every operation
+returns that canonical form, so ``==`` is tuple equality, and values are
+never changed after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 
-class LaurentQ:
-    """A Laurent polynomial in q with integer coefficients.
+def _signed_join(parts: list[str]) -> str:
+    """Join monomials with " + ", writing a leading minus as " - "."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
-    Stored as a finitely-supported map ``exponent -> coefficient``; zero
-    coefficients are never kept.
+
+class _Dense:
+    """The polynomial sum_i c[i] * v^(lo + i) in one variable v.
+
+    Each subclass names its coefficient ring in ``ring`` (``int`` or
+    ``LaurentQ``); ``ring()`` is the ring's zero, kept as ``ring_zero``.
+    ``c`` is a tuple whose first and last entries are nonzero; zero is
+    ``lo = 0, c = ()``.  Gaps hold ``ring_zero``, never int ``0``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("lo", "c")
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict[int, int] = {int(e): int(c) for e, c in items if c}
+    def __init_subclass__(cls):
+        cls.ring_zero = cls.ring()
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentQ":
-        return cls({0: 1})
+    def __init__(self, terms: dict):
+        """From a map exponent -> nonzero coefficient of the ring."""
+        if terms:
+            lo, z = min(terms), self.ring_zero
+            self.lo = lo
+            self.c = tuple([terms.get(e, z) for e in range(lo, max(terms) + 1)])
+        else:
+            self.lo, self.c = 0, ()
 
     @classmethod
-    def const(cls, c: int) -> "LaurentQ":
-        return cls({0: c})
+    def _make(cls, lo: int, c) -> "_Dense":
+        """The canonical value sum c[i] v^(lo+i): zeros trimmed at both ends."""
+        i, j = 0, len(c)
+        while j and not c[j - 1]:
+            j -= 1
+        while i < j and not c[i]:
+            i += 1
+        self = object.__new__(cls)
+        self.lo = lo + i if j else 0
+        self.c = tuple(c[i:j])
+        return self
 
     @classmethod
-    def q_power(cls, e: int, c: int = 1) -> "LaurentQ":
-        return cls({e: c})
+    def _scalar(cls, x):
+        """``x`` (an int or a ring element) as an element of the ring."""
+        return x if isinstance(x, cls.ring) else cls.ring.const(x)
 
     @classmethod
-    def q_int(cls, m: int) -> "LaurentQ":
-        """The q-integer [m]_q = 1 + q + ... + q^(m-1) for m >= 0."""
-        if m < 0:
-            raise ValueError("q_int requires m >= 0")
-        return cls({e: 1 for e in range(m)})
+    def zero(cls):
+        return cls._make(0, ())
+
+    @classmethod
+    def one(cls):
+        return cls._make(0, (cls._scalar(1),))
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, self.ring)):
+            return self._make(0, (self._scalar(other),))
+        return None
+
+    def _terms(self) -> dict:
+        """A fresh map exponent -> nonzero coefficient, in ascending order."""
+        return {self.lo + i: x for i, x in enumerate(self.c) if x}
+
+    def coeff(self, k: int):
+        i = k - self.lo
+        return self.c[i] if 0 <= i < len(self.c) else self.ring_zero
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "LaurentQ | None":
-        if isinstance(other, LaurentQ):
-            return other
-        if isinstance(other, int):
-            return LaurentQ.const(other)
-        return None
+    def _combine(self, o: "_Dense", sign: int):
+        """self + sign * o."""
+        if not o.c:
+            return self
+        if not self.c:
+            return o if sign > 0 else -o
+        lo = min(self.lo, o.lo)
+        out = [self.ring_zero] * (max(self.lo + len(self.c), o.lo + len(o.c)) - lo)
+        out[self.lo - lo:self.lo - lo + len(self.c)] = self.c
+        for j, y in enumerate(o.c, o.lo - lo):
+            out[j] = out[j] + y if sign > 0 else out[j] - y
+        return self._make(lo, out)
 
-    def __add__(self, other) -> "LaurentQ":
+    def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentQ(out)
+        return NotImplemented if o is None else self._combine(o, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "LaurentQ":
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._combine(o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._combine(self, -1)
+
+    def __neg__(self):
+        return self._make(self.lo, tuple(-x for x in self.c))
+
+    def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentQ(out)
-
-    def __rsub__(self, other) -> "LaurentQ":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "LaurentQ":
-        return LaurentQ({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "LaurentQ":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.terms or not o.terms:
-            return LaurentQ.zero()
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentQ(out)
+        a, b = self.c, o.c
+        if not a or not b:
+            return self.zero()
+        out = [self.ring_zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return self._make(self.lo + o.lo, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentQ":
+    def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined for LaurentQ")
-        result = LaurentQ.one()
+            raise ValueError(f"negative powers are not defined for {type(self).__name__}")
+        result = self.one()
         base = self
         while n:
             if n & 1:
@@ -123,55 +157,75 @@ class LaurentQ:
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        return NotImplemented if o is None else self.lo == o.lo and self.c == o.c
 
-    __hash__ = None  # mutable term map; value types are compared, not hashed
+    __hash__ = None  # compared by value, not hashed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.c)
+
+
+class LaurentQ(_Dense):
+    """A Laurent polynomial in q with integer coefficients."""
+
+    __slots__ = ()
+    ring = int
+    # own attributes: the benchmark tracer rebinds only a class's own __mul__/__rmul__
+    __mul__ = __rmul__ = _Dense.__mul__
+
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        super().__init__({int(e): int(c) for e, c in items if c})
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def const(cls, c: int) -> "LaurentQ":
+        return cls._make(0, (int(c),))
+
+    @classmethod
+    def q_power(cls, e: int, c: int = 1) -> "LaurentQ":
+        return cls._make(int(e), (int(c),))
+
+    @classmethod
+    def q_int(cls, m: int) -> "LaurentQ":
+        """The q-integer [m]_q = 1 + q + ... + q^(m-1) for m >= 0."""
+        if m < 0:
+            raise ValueError("q_int requires m >= 0")
+        return cls._make(0, (1,) * m)
 
     # -- queries and transforms ---------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, int]:
+        """A fresh map exponent -> nonzero coefficient."""
+        return self._terms()
+
     def bar(self) -> "LaurentQ":
         """Apply q -> q^(-1): negate every exponent."""
-        return LaurentQ({-e: c for e, c in self.terms.items()})
+        return self._make(1 - self.lo - len(self.c), self.c[::-1])
 
     def shift(self, k: int) -> "LaurentQ":
         """Multiply by q^k."""
-        return LaurentQ({e + k: c for e, c in self.terms.items()})
-
-    def coeff(self, e: int) -> int:
-        return self.terms.get(e, 0)
+        return self._make(self.lo + k, self.c)
 
     def eval_at_one(self) -> int:
         """Specialize q := 1."""
-        return sum(self.terms.values())
+        return sum(self.c)
 
     def is_polynomial(self) -> bool:
         """True iff no negative q-exponent appears (membership in Z[q])."""
-        return all(e >= 0 for e in self.terms)
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.terms)
+        return self.lo >= 0
 
     def to_pairs(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs."""
-        return sorted(self.terms.items())
+        return list(self._terms().items())
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.c:
             return "0"
         parts = []
-        for e, c in self.to_pairs():
+        for e, c in self._terms().items():
             if e == 0:
                 parts.append(f"{c}")
             elif c == 1:
@@ -180,10 +234,7 @@ class LaurentQ:
                 parts.append(f"-q^{e}" if e != 1 else "-q")
             else:
                 parts.append(f"{c}*q^{e}" if e != 1 else f"{c}*q")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
 
 def bar_q(p: LaurentQ) -> LaurentQ:
@@ -191,9 +242,7 @@ def bar_q(p: LaurentQ) -> LaurentQ:
     return p.bar()
 
 
-_QBINOM_CACHE: dict[tuple[int, int], LaurentQ] = {}
-
-
+@functools.cache
 def qbinom(m: int, k: int) -> LaurentQ:
     """The Gaussian binomial coefficient binom(m, k)_q for m >= 0.
 
@@ -205,143 +254,69 @@ def qbinom(m: int, k: int) -> LaurentQ:
         raise ValueError("qbinom requires m >= 0")
     if k < 0 or k > m:
         return LaurentQ.zero()
-    key = (m, k)
-    cached = _QBINOM_CACHE.get(key)
-    if cached is not None:
-        return cached
     if k == 0 or k == m:
-        val = LaurentQ.one()
-    else:
-        val = qbinom(m - 1, k - 1) + qbinom(m - 1, k).shift(k)
-    _QBINOM_CACHE[key] = val
-    return val
+        return LaurentQ.one()
+    return qbinom(m - 1, k - 1) + qbinom(m - 1, k).shift(k)
 
 
-class PolyTQ:
+class PolyTQ(_Dense):
     """A polynomial in t with ``LaurentQ`` coefficients (t-exponents >= 0)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    ring = LaurentQ
+    __mul__ = __rmul__ = _Dense.__mul__
 
     def __init__(self, coeffs: Mapping[int, LaurentQ] | Iterable[tuple[int, LaurentQ]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self.coeffs: dict[int, LaurentQ] = {}
+        out: dict[int, LaurentQ] = {}
         for k, g in items:
             k = int(k)
             if k < 0:
                 raise ValueError("t-exponents must be non-negative")
             if g:
-                self.coeffs[k] = g
-
-    @classmethod
-    def zero(cls) -> "PolyTQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PolyTQ":
-        return cls({0: LaurentQ.one()})
+                out[k] = self._scalar(g)
+        super().__init__(out)
 
     @classmethod
     def t_power(cls, k: int, coeff: LaurentQ | int = 1) -> "PolyTQ":
-        c = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-        return cls({k: c})
+        return cls({k: coeff})
 
-    def _coerce(self, other) -> "PolyTQ | None":
-        if isinstance(other, PolyTQ):
-            return other
-        if isinstance(other, (LaurentQ, int)):
-            return PolyTQ.t_power(0, other)
-        return None
-
-    def __add__(self, other) -> "PolyTQ":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, g in o.coeffs.items():
-            out[k] = out.get(k, LaurentQ.zero()) + g
-        return PolyTQ(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PolyTQ":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, g in o.coeffs.items():
-            out[k] = out.get(k, LaurentQ.zero()) - g
-        return PolyTQ(out)
-
-    def __neg__(self) -> "PolyTQ":
-        return PolyTQ({k: -g for k, g in self.coeffs.items()})
-
-    def __mul__(self, other) -> "PolyTQ":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[int, LaurentQ] = {}
-        for k1, g1 in self.coeffs.items():
-            for k2, g2 in o.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, LaurentQ.zero()) + g1 * g2
-        return PolyTQ(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coeff(self, k: int) -> LaurentQ:
-        return self.coeffs.get(k, LaurentQ.zero())
+    @property
+    def coeffs(self) -> dict[int, LaurentQ]:
+        """A fresh map t-exponent -> nonzero ``LaurentQ`` coefficient."""
+        return self._terms()
 
     def t_degree(self) -> int:
         """Degree in t; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
+        return self.lo + len(self.c) - 1 if self.c else -1
 
     def eval_t(self, value: LaurentQ) -> LaurentQ:
-        """Substitute t := value."""
+        """Substitute t := value (Horner's rule)."""
         out = LaurentQ.zero()
-        power = LaurentQ.one()
-        prev = 0
-        for k in sorted(self.coeffs):
-            power = power * value ** (k - prev)
-            prev = k
-            out = out + self.coeffs[k] * power
-        return out
+        for g in reversed(self.c):
+            out = out * value + g
+        return out * value ** self.lo
 
     def t_reverse_bar(self, top: int) -> "PolyTQ":
         """Return t^top * self(1/t, 1/q); requires top >= t-degree."""
-        if self.coeffs and top < self.t_degree():
+        if self.c and top < self.t_degree():
             raise ValueError("top must be at least the t-degree")
-        return PolyTQ({top - k: g.bar() for k, g in self.coeffs.items()})
+        return self._make(top - self.t_degree(), tuple(g.bar() for g in reversed(self.c)))
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Sorted (t_exponent, q_exponent, coefficient) triples."""
-        out = []
-        for k in sorted(self.coeffs):
-            for e, c in self.coeffs[k].to_pairs():
-                out.append((k, e, c))
-        return out
+        return [(k, e, c) for k, g in self._terms().items() for e, c in g.to_pairs()]
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.c:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            g = repr(self.coeffs[k])
+        for k, g in self._terms().items():
             if k == 0:
-                parts.append(g)
+                parts.append(repr(g))
             else:
                 t = "t" if k == 1 else f"t^{k}"
-                parts.append(f"({g})*{t}")
+                parts.append(f"({g!r})*{t}")
         return " + ".join(parts)
 
 
@@ -382,92 +357,46 @@ def expand(series: RatSeries, up_to: int) -> list[LaurentQ]:
     return coeffs
 
 
-class BiPolyXY:
-    """An integer polynomial in two variables x and y."""
+class BiPolyXY(_Dense):
+    """An integer polynomial in two variables x and y, held as a polynomial
+    in x over Z[y] (y-polynomials as ``LaurentQ``)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    ring = LaurentQ
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict[tuple[int, int], int] = {}
+        rows: dict[int, dict[int, int]] = {}
         for (a, b), c in items:
             if a < 0 or b < 0:
                 raise ValueError("exponents must be non-negative")
             if c:
-                self.terms[(a, b)] = int(c)
-
-    @classmethod
-    def zero(cls) -> "BiPolyXY":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPolyXY":
-        return cls({(0, 0): 1})
+                rows.setdefault(int(a), {})[b] = c
+        super().__init__({a: LaurentQ(row) for a, row in rows.items()})
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int = 1) -> "BiPolyXY":
         return cls({(a, b): c})
 
-    def __add__(self, other: "BiPolyXY") -> "BiPolyXY":
-        if not isinstance(other, BiPolyXY):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiPolyXY(out)
-
-    def __sub__(self, other: "BiPolyXY") -> "BiPolyXY":
-        if not isinstance(other, BiPolyXY):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return BiPolyXY(out)
-
-    def __mul__(self, other) -> "BiPolyXY":
-        if isinstance(other, int):
-            return BiPolyXY({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, BiPolyXY):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiPolyXY(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPolyXY):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self.terms.items())
+        return (((a, b), c) for a, g in self._terms().items() for b, c in g.to_pairs())
 
     def coeff(self, a: int, b: int) -> int:
-        return self.terms.get((a, b), 0)
+        return super().coeff(a).coeff(b)
 
     def x_degree(self) -> int:
-        return max((a for a, _ in self.terms), default=0)
+        return self.lo + len(self.c) - 1 if self.c else 0
 
     def y_degree(self) -> int:
-        return max((b for _, b in self.terms), default=0)
+        return max((g.lo + len(g.c) - 1 for g in self.c if g), default=0)
 
     def eval_int(self, x: int, y: int) -> int:
-        return sum(c * x**a * y**b for (a, b), c in self.terms.items())
+        return sum(c * x**a * y**b for (a, b), c in self.items())
 
-    def to_triples(self) -> list[tuple[int, int, int]]:
-        return sorted((a, b, c) for (a, b), c in self.terms.items())
+    to_triples = PolyTQ.to_triples
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.c:
             return "0"
         parts = []
         for a, b, c in self.to_triples():
@@ -484,10 +413,7 @@ class BiPolyXY:
                 parts.append("-" + mono)
             else:
                 parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
 
 # -- serialization (shared with the CLI) -------------------------------------

@@ -169,7 +169,7 @@ def qivp_bar_series(P: QIVP) -> RatSeries:
     num = PolyTQ.zero()
     for k, f in enumerate(P.basis_coeffs):
         sign = -1 if k % 2 else 1
-        coeff = f.bar().shift(k * (k + 1) // 2) * sign
+        coeff = f.bar() * LaurentQ.q_power(k * (k + 1) // 2, sign)
         num = num + PolyTQ.t_power(1, coeff) * tails[k]
     return RatSeries(num, P.degree, interior=True)
 
@@ -191,8 +191,7 @@ def interior_series(M: RealizedMatroid) -> RatSeries:
     N = series(M).numerator
     flipped = N.t_reverse_bar(n + 1)
     sign = -1 if (n + d) % 2 else 1
-    num = PolyTQ({k: g.shift(n * (n + 1) // 2 - d) * sign
-                  for k, g in flipped.coeffs.items()})
+    num = flipped * LaurentQ.q_power(n * (n + 1) // 2 - d, sign)
     return RatSeries(num, n, interior=True)
 
 
@@ -209,7 +208,7 @@ def reciprocity_check(M: RealizedMatroid, m_max: int) -> bool:
     sign = -1 if d % 2 else 1
     P = ehr_poly(M)
     bar_num = qivp_bar_series(P).numerator
-    expected = PolyTQ({k: g.shift(-d) * sign for k, g in bar_num.coeffs.items()})
+    expected = bar_num * LaurentQ.q_power(-d, sign)
     if interior_series(M).numerator != expected:
         return False
     for m in range(1, m_max + 1):

@@ -97,9 +97,10 @@ def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
         return LaurentQ.one()
     n = M.n
     nvars = 1 << n
-    if comb(nvars + m - 1, m) > DEGREE_GUARD:
+    nmono = comb(nvars + m - 1, m)
+    if nmono > DEGREE_GUARD:
         raise GuardExceeded(
-            f"degree {m} has more than {DEGREE_GUARD} monomials")
+            f"degree {m} has {nmono} monomials > DEGREE_GUARD={DEGREE_GUARD}")
     gens = segre_generators(M)
 
     index: dict[int, dict[tuple[int, ...], int]] = {}

@@ -10,6 +10,7 @@ independent of every closed formula it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, NotUnimodular
@@ -33,12 +34,6 @@ class HRep:
     d: int
 
 
-@dataclass(frozen=True)
-class LatticePointSet:
-    points: frozenset[tuple[int, ...]]
-    dilate: int
-
-
 def h_rep(M: RealizedMatroid) -> HRep:
     """Facet inequality pairs of Z, one per cocircuit vector.
 
@@ -56,9 +51,8 @@ def h_rep(M: RealizedMatroid) -> HRep:
     return HRep(facets, M.d)
 
 
-def lattice_count(M: RealizedMatroid, m: int, interior: bool = False
-                  ) -> tuple[LatticePointSet, int]:
-    """Enumerate the (interior) lattice points of the dilate mZ.
+def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
+    """Count the (interior) lattice points of the dilate mZ.
 
     The point zonotope (d = 0) has one lattice point and one interior
     lattice point at every dilate.
@@ -66,20 +60,15 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False
     if m < 1:
         raise ValueError("dilate m must be >= 1")
     if M.d == 0:
-        pts = frozenset({()})
-        return LatticePointSet(pts, m), 1
+        return 1
     rep = h_rep(M)
-    entries = M.realization.entries
-    ranges = []
-    volume = 1
-    for i in range(M.d):
-        lo = m * sum(min(0, a) for a in entries[i])
-        hi = m * sum(max(0, a) for a in entries[i])
-        volume *= hi - lo + 1
-        if volume > BOX_GUARD:
-            raise GuardExceeded(f"bounding box volume exceeds {BOX_GUARD}")
-        ranges.append(range(lo, hi + 1))
-    pts = set()
+    ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
+              for row in M.realization.entries]
+    volume = math.prod(map(len, ranges))
+    if volume > BOX_GUARD:
+        raise GuardExceeded(
+            f"bounding box volume {volume} exceeds BOX_GUARD={BOX_GUARD}")
+    count = 0
     facets = rep.facets
     for x in itertools.product(*ranges):
         ok = True
@@ -93,8 +82,8 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False
                 ok = False
                 break
         if ok:
-            pts.add(x)
-    return LatticePointSet(frozenset(pts), m), len(pts)
+            count += 1
+    return count
 
 
 def tutte_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:

@@ -69,6 +69,63 @@ def fraction_kernel(rows, ncols):
     return basis
 
 
+# -- the term-map reference for the dense polynomial core --------------------
+# The dict arithmetic the polynomial types used before they shared one dense
+# core.  A term map sends an exponent to a nonzero integer; the exponent is an
+# int for LaurentQ and a pair for PolyTQ (t, q) and BiPolyXY (x, y).
+
+
+def _exp_add(e1, e2):
+    return e1 + e2 if isinstance(e1, int) else tuple(a + b for a, b in zip(e1, e2))
+
+
+def dict_add(p, q, sign=1):
+    """p + sign * q."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = _exp_add(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_pow(p, n, unit):
+    """p ** n; ``unit`` is the exponent of the constant term (0 or (0, 0))."""
+    out = {unit: 1}
+    for _ in range(n):
+        out = dict_mul(out, p)
+    return out
+
+
+def dict_bar(p):
+    """q -> 1/q on a Laurent term map."""
+    return {-e: c for e, c in p.items()}
+
+
+def dict_shift(p, k):
+    return {e + k: c for e, c in p.items()}
+
+
+def dict_t_reverse_bar(p, top):
+    """t^top * p(1/t, 1/q) on a (t, q) term map."""
+    return {(top - k, -e): c for (k, e), c in p.items()}
+
+
+def dict_eval_t(p, value):
+    """A (t, q) term map at t := value, a Laurent term map."""
+    out = {}
+    for (k, e), c in p.items():
+        out = dict_add(out, dict_mul({e: c}, dict_pow(value, k, 0)))
+    return out
+
+
 EXPECTED_VERDICT = {
     "boolean1": "boolean",
     "boolean2": "boolean",

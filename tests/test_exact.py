@@ -4,6 +4,15 @@ import random
 
 import pytest
 
+from conftest import (
+    dict_add,
+    dict_bar,
+    dict_eval_t,
+    dict_mul,
+    dict_pow,
+    dict_shift,
+    dict_t_reverse_bar,
+)
 from zonoq.exact import (
     BiPolyXY,
     LaurentQ,
@@ -198,3 +207,191 @@ class TestBiPoly:
         b = BiPolyXY({(1, 1): -2})
         assert (a + b) == BiPolyXY.zero()
         assert not (a + b)
+
+
+# -- the dense core against the term-map reference -----------------------------
+
+BIG = 10**30
+
+
+def rand_coeff(rng: random.Random) -> int:
+    return rng.choice([rng.randint(-3, 3), rng.randint(-BIG, BIG)])
+
+
+def rand_map(rng: random.Random, kind: str) -> dict:
+    """A random term map: Laurent exponents in -5..6; PolyTQ t-exponents
+    from {0, 1, 4, 5, 6} (so sums and products have t-gaps); BiPolyXY
+    exponents in 0..4."""
+    def key():
+        if kind == "laurent":
+            return rng.randint(-5, 6)
+        if kind == "polytq":
+            return rng.choice([0, 1, 4, 5, 6]), rng.randint(-3, 4)
+        return rng.randint(0, 4), rng.randint(0, 4)
+
+    out = {key(): rand_coeff(rng) for _ in range(rng.randint(0, 6))}
+    return {e: c for e, c in out.items() if c}
+
+
+def cancelling(rng: random.Random, p: dict) -> dict:
+    """A random map that, added to p, clears p's first or last term (for
+    pairs: its first or last outer coefficient, or a single end term)."""
+    if not p:
+        return {}
+    keys = sorted(p)
+    pick = rng.choice(["first", "last", "first outer", "last outer"])
+    if pick == "first":
+        chosen = keys[:1]
+    elif pick == "last":
+        chosen = keys[-1:]
+    else:
+        outer = keys[0] if pick == "first outer" else keys[-1]
+        outer = outer[0] if isinstance(outer, tuple) else outer
+        chosen = [e for e in keys if (e[0] if isinstance(e, tuple) else e) == outer]
+    return {e: -p[e] for e in chosen}
+
+
+def build(kind: str, terms: dict):
+    if kind == "laurent":
+        return LaurentQ(terms)
+    if kind == "bipoly":
+        return BiPolyXY(terms)
+    rows: dict[int, dict[int, int]] = {}
+    for (k, e), c in terms.items():
+        rows.setdefault(k, {})[e] = c
+    return PolyTQ({k: LaurentQ(row) for k, row in rows.items()})
+
+
+def flat(kind: str, value) -> list:
+    """Sorted (exponent, coefficient) items of a core value."""
+    if kind == "laurent":
+        return value.to_pairs()
+    return [((a, b), c) for a, b, c in value.to_triples()]
+
+
+def assert_matches(kind: str, value, terms: dict):
+    """value is the canonical core form of the term map: ends nonzero,
+    coefficients of the right ring (LaurentQ gaps, not int 0), same terms."""
+    assert flat(kind, value) == sorted(terms.items())
+    assert value == build(kind, terms)
+    assert bool(value) == bool(terms)
+    ring = int if kind == "laurent" else LaurentQ
+    assert all(type(x) is ring for x in value.c)
+    assert not value.c or (value.c[0] and value.c[-1])
+    assert value.c or value.lo == 0
+    if ring is LaurentQ:
+        for g in value.c:
+            assert not g.c or (g.c[0] and g.c[-1])
+            assert all(type(x) is int for x in g.c)
+
+
+KINDS = ["laurent", "polytq", "bipoly"]
+UNIT = {"laurent": 0, "polytq": (0, 0), "bipoly": (0, 0)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(4))
+class TestDenseCoreAgainstDicts:
+    def pairs(self, kind, seed, n=60):
+        rng = random.Random(f"{kind}:{seed}")
+        for _ in range(n):
+            p = rand_map(rng, kind)
+            q = rand_map(rng, kind) if rng.random() < 0.7 else {}
+            if rng.random() < 0.6:
+                q.update(cancelling(rng, p))
+            yield rng, p, q
+
+    def test_ring_operations(self, kind, seed):
+        for rng, p, q in self.pairs(kind, seed):
+            a, b = build(kind, p), build(kind, q)
+            assert_matches(kind, a + b, dict_add(p, q))
+            assert_matches(kind, a - b, dict_add(p, q, -1))
+            assert_matches(kind, a - (-b), dict_add(p, q))
+            assert_matches(kind, b - a, dict_add(q, p, -1))
+            assert_matches(kind, -a, {e: -c for e, c in p.items()})
+            assert_matches(kind, a * b, dict_mul(p, q))
+            k = rand_coeff(rng)
+            unit = UNIT[kind]
+            assert_matches(kind, a * k, dict_mul(p, {unit: k} if k else {}))
+            assert_matches(kind, k * a, dict_mul(p, {unit: k} if k else {}))
+            assert_matches(kind, a + k, dict_add(p, {unit: k} if k else {}))
+            assert_matches(kind, k - a, dict_add({unit: k} if k else {}, p, -1))
+            assert (a == b) == (p == q)
+            assert a == build(kind, dict(reversed(list(p.items()))))
+
+    def test_powers(self, kind, seed):
+        rng = random.Random(f"pow:{kind}:{seed}")
+        for _ in range(8):
+            p = rand_map(rng, kind)
+            a = build(kind, p)
+            for n in range(5):
+                assert_matches(kind, a ** n, dict_pow(p, n, UNIT[kind]))
+
+    def test_transforms(self, kind, seed):
+        rng = random.Random(f"tr:{kind}:{seed}")
+        for _ in range(40):
+            p = rand_map(rng, kind)
+            a = build(kind, p)
+            if kind == "laurent":
+                assert_matches(kind, a.bar(), dict_bar(p))
+                k = rng.randint(-7, 7)
+                assert_matches(kind, a.shift(k), dict_shift(p, k))
+                assert laurent_from_json(laurent_to_json(a)) == a
+                assert laurent_to_json(a) == [[e, str(c)] for e, c in sorted(p.items())]
+            elif kind == "polytq":
+                top = max(a.t_degree(), 0) + rng.randint(0, 2)
+                assert_matches(kind, a.t_reverse_bar(top), dict_t_reverse_bar(p, top))
+                v = rand_map(rng, "laurent")
+                assert_matches("laurent", a.eval_t(LaurentQ(v)), dict_eval_t(p, v))
+                assert polytq_from_json(polytq_to_json(a)) == a
+                assert polytq_to_json(a) == [[k, e, str(c)] for (k, e), c in sorted(p.items())]
+            else:
+                assert bipoly_from_json(bipoly_to_json(a)) == a
+                assert bipoly_to_json(a) == [[x, y, str(c)] for (x, y), c in sorted(p.items())]
+
+
+class TestDenseCoreEdges:
+    def test_t_gap_sum_keeps_laurent_zeros(self):
+        p = PolyTQ.t_power(0) + PolyTQ.t_power(5)
+        assert p.to_triples() == [(0, 0, 1), (5, 0, 1)]
+        assert all(isinstance(g, LaurentQ) for g in p.c)
+        assert p.coeff(3) == LaurentQ.zero() and p.t_degree() == 5
+
+    def test_cancelled_ends_are_trimmed(self):
+        a = LaurentQ({-2: BIG, 0: 1, 3: -BIG})
+        assert a + LaurentQ({-2: -BIG}) == LaurentQ({0: 1, 3: -BIG})
+        assert (a - LaurentQ({3: -BIG, -2: BIG})).c == (1,)
+        assert not (a - a) and (a - a).lo == 0
+
+    def test_read_only_views_are_fresh(self):
+        a = LaurentQ({1: 2})
+        a.terms[5] = 1
+        assert a == LaurentQ({1: 2})
+        p = PolyTQ({2: a})
+        p.coeffs[0] = LaurentQ.one()
+        assert p == PolyTQ({2: a})
+
+    def test_zero_degrees(self):
+        assert PolyTQ.zero().t_degree() == -1
+        z = BiPolyXY.zero()
+        assert z.x_degree() == 0 and z.y_degree() == 0
+        assert repr(z) == repr(LaurentQ.zero()) == repr(PolyTQ.zero()) == "0"
+
+    def test_reprs(self):
+        assert repr(LaurentQ({-1: -1, 0: 3, 1: 1, 2: -2})) == "-q^-1 + 3 + q - 2*q^2"
+        assert repr(PolyTQ({0: LaurentQ.one(), 2: LaurentQ({1: -1})})) == "1 + (-q)*t^2"
+        assert repr(BiPolyXY({(0, 0): 2, (1, 0): -1, (2, 1): 1, (0, 3): -4})) \
+            == "2 - 4*y^3 - x + x^2y"
+
+    def test_bipoly_items_and_coeff(self):
+        T = BiPolyXY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+        assert dict(T.items()) == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
+        assert T.coeff(2, 0) == 1 and T.coeff(7, 7) == 0
+
+    def test_negative_exponents_rejected(self):
+        with pytest.raises(ValueError):
+            PolyTQ({-1: LaurentQ.one()})
+        with pytest.raises(ValueError):
+            BiPolyXY({(0, -1): 1})
+        with pytest.raises(ValueError):
+            LaurentQ.one() ** -1

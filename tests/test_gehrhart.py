@@ -71,7 +71,7 @@ class TestGradedCount:
             for m in (1, 2, 3):
                 for interior in (False, True):
                     assert graded_count(M, m, interior).value.eval_at_one() == \
-                        lattice_count(M, m, interior)[1], (name, m, interior)
+                        lattice_count(M, m, interior), (name, m, interior)
 
     def test_coefficients_non_negative(self, corpus):
         for M in corpus.values():

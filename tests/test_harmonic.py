@@ -4,6 +4,7 @@ import pytest
 
 from conftest import EXPECTED_VERDICT
 from zonoq import (
+    GuardExceeded,
     degree1_dim,
     euler_mahonian,
     expand,
@@ -16,6 +17,7 @@ from zonoq import (
     segre_generators,
     series,
 )
+from zonoq import harmonic
 from zonoq.exact import LaurentQ, PolyTQ
 from zonoq.harmonic import (
     BOOLEAN,
@@ -90,6 +92,15 @@ class TestGradedHilbert:
             if M.n > 4:
                 continue
             assert graded_hilbert(M, m) == graded_count(M, m).value, (name, m)
+
+    def test_degree_guard_names_value(self, corpus, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("elimination ran past the degree guard")
+
+        monkeypatch.setattr(harmonic, "echelon_rank", no_elimination)
+        with pytest.raises(GuardExceeded,
+                           match=r"^degree 14 has 116280 monomials > DEGREE_GUARD=100000$"):
+            graded_hilbert(corpus["boolean3"], 14)
 
 
 class TestGorenstein:
