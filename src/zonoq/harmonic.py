@@ -55,7 +55,8 @@ def segre_generators(M: RealizedMatroid) -> SegreGenerators:
     """All linear generators, one per (circuit, disjoint subset) pair."""
     n = M.n
     if n > VARIABLE_GUARD:
-        raise GuardExceeded(f"{n} > {VARIABLE_GUARD} ground-set elements")
+        raise GuardExceeded(
+            f"{n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
     linear = []
     for circ in M.circuits:
         outside = [j for j in range(n) if j not in circ.support]
@@ -183,7 +184,8 @@ def euler_mahonian(n: int) -> PolyTQ:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > FACTORIAL_GUARD:
-        raise GuardExceeded(f"n = {n} exceeds factorial guard {FACTORIAL_GUARD}")
+        raise GuardExceeded(
+            f"n = {n} exceeds FACTORIAL_GUARD={FACTORIAL_GUARD}")
     acc: dict[int, dict[int, int]] = {}
     for perm in itertools.permutations(range(1, n + 1)):
         des = [j + 1 for j in range(n - 1) if perm[j] > perm[j + 1]]

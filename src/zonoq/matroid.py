@@ -1,9 +1,12 @@
 """Realized matroids from integer matrices.
 
 A matroid is always carried by a full-row-rank integer matrix (columns are
-the ground set, 0-based).  Construction eagerly enumerates circuits (with
-their exact integer dependency coefficients) and cocircuit vectors, which the
-geometry and algebra layers use as the single source of combinatorial truth.
+the ground set, 0-based).  Construction checks only the guard and the rank.
+Circuits (with their exact integer dependency coefficients) and cocircuit
+vectors, which the geometry and algebra layers use as the single source of
+combinatorial truth, are enumerated on first use and then kept: the
+closed-formula path and the thickenings read cocircuits only, and circuits
+serve only the harmonic presentation and connectivity.
 
 Cocircuits come from one integer sweep over (d-1)-subsets of columns, whose
 cofactor vectors are the hyperplane normals; unimodularity is read off them
@@ -107,12 +110,8 @@ class RealizedMatroid:
     every caller and must not be mutated.
     """
 
-    def __init__(self, realization: Realization,
-                 circuits: tuple[CircuitRep, ...],
-                 cocircuits: tuple[CocircuitVector, ...]):
+    def __init__(self, realization: Realization):
         self.realization = realization
-        self.circuits = circuits
-        self.cocircuits = cocircuits
         self._rank_cache: dict[frozenset, int] = {}
         self._derived: dict[str, object] = {}  # written by @invariant
 
@@ -126,6 +125,14 @@ class RealizedMatroid:
 
     def __repr__(self) -> str:
         return f"RealizedMatroid(d={self.d}, n={self.n})"
+
+    @functools.cached_property
+    def circuits(self) -> tuple[CircuitRep, ...]:
+        return _find_circuits(self.realization)
+
+    @functools.cached_property
+    def cocircuits(self) -> tuple[CocircuitVector, ...]:
+        return _find_cocircuits(self.realization)
 
     # -- rank ---------------------------------------------------------------
 
@@ -198,7 +205,8 @@ class RealizedMatroid:
             raise ValueError("thickening requires m >= 1")
         if m * self.n > GROUND_GUARD:
             raise GuardExceeded(
-                f"thickening would have {m * self.n} > {GROUND_GUARD} elements")
+                f"thickening by {m} would have {m * self.n} elements"
+                f" > GROUND_GUARD={GROUND_GUARD}")
         rows = tuple(r * m for r in self.realization.entries)
         return _from_realization(Realization(self.d, m * self.n, rows))
 
@@ -253,10 +261,11 @@ def from_matrix(entries: Sequence[Sequence[int]]) -> RealizedMatroid:
 
 def _from_realization(rz: Realization) -> RealizedMatroid:
     if rz.n > GROUND_GUARD:
-        raise GuardExceeded(f"ground set {rz.n} exceeds guard {GROUND_GUARD}")
+        raise GuardExceeded(
+            f"ground set {rz.n} exceeds guard GROUND_GUARD={GROUND_GUARD}")
     if rank_int(rz.entries) != rz.d:
         raise ValueError("matrix must have full row rank")
-    return RealizedMatroid(rz, _find_circuits(rz), _find_cocircuits(rz))
+    return RealizedMatroid(rz)
 
 
 def _find_circuits(rz: Realization) -> tuple[CircuitRep, ...]:

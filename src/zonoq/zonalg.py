@@ -6,6 +6,12 @@ of the cocircuit linear forms.  Graded dimensions are computed degree by
 degree as (number of monomials) - rank(span of monomial multiples of the
 generators), with exact integer elimination.  This is the independent
 algebraic oracle against the Tutte-evaluation formulas.
+
+The generators are expanded sparsest first: by the number of nonzero
+coefficients of the linear form, then by exponent, ties in spec order.
+Coordinate-like forms give near-monomial pivot rows, which keep the echelon
+basis sparse while the denser forms are reduced against it; the rank, and
+so every dimension, does not depend on the order.
 """
 
 from __future__ import annotations
@@ -109,13 +115,15 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
     d = spec.variables
     if any(e == 0 for _, e in spec.generators):
         return HilbertFunction((), LaurentQ.zero())
-    expanded = [(_form_power(c, e), e) for c, e in spec.generators]
+    sparsest_first = sorted(spec.generators,
+                            key=lambda g: (sum(1 for x in g[0] if x), g[1]))
+    expanded = [(_form_power(c, e), e) for c, e in sparsest_first]
     dims: list[int] = []
     for k in range(spec.degree_cap + 1):
         ncols = comb(d + k - 1, k) if k else 1
         if ncols > MONOMIAL_GUARD:
             raise GuardExceeded(
-                f"degree {k} has {ncols} monomials > {MONOMIAL_GUARD}")
+                f"degree {k} has {ncols} monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
         index = {mono: i for i, mono in enumerate(_monomials(d, k))}
         shifts = {s: _monomials(d, s) for s in {k - e for _, e in expanded if e <= k}}
 

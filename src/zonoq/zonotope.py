@@ -1,16 +1,21 @@
-"""Geometry oracle: facet description and brute-force lattice-point counts.
+"""Geometry oracle: facet description and enumerated lattice-point counts.
 
 The H-description of Z = A * [0,1]^n comes straight from the cocircuit
 vectors: each one gives a pair of parallel facet inequalities, of width
 equal to its support size since A is unimodular.  Counting is plain enumeration
-of the bounding box filtered through those inequalities, which is exact and
-independent of every closed formula it is used to check.
+against those inequalities, which is exact and independent of every closed
+formula it is used to check.  It iterates over the bounding box without its
+longest coordinate: for each prefix of the other coordinates, each facet pair
+bounds that last coordinate to an integer interval (or, where the facet does
+not involve it, passes or fails outright), and the prefix contributes the
+length of the intersection of those intervals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, NotUnimodular
@@ -68,21 +73,33 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
     if volume > BOX_GUARD:
         raise GuardExceeded(
             f"bounding box volume {volume} exceeds BOX_GUARD={BOX_GUARD}")
+    last = max(range(M.d), key=lambda i: len(ranges[i]))
+    # lo <= <c', x'> + a * x_last <= hi per facet pair, signed so that a >= 0;
+    # interior points satisfy the strict inequalities, lo+1 ... hi-1
+    strict = 1 if interior else 0
+    bounds = []
+    for f in rep.facets:
+        a = f.c[last]
+        lo, hi = m * f.alpha_min + strict, m * f.alpha_max - strict
+        rest = f.c[:last] + f.c[last + 1:]
+        if a < 0:
+            a, lo, hi, rest = -a, -hi, -lo, tuple(-x for x in rest)
+        bounds.append((rest, a, lo, hi))
+    t_min, t_max = ranges[last].start, ranges[last].stop - 1
     count = 0
-    facets = rep.facets
-    for x in itertools.product(*ranges):
-        ok = True
-        for f in facets:
-            val = sum(ci * xi for ci, xi in zip(f.c, x))
-            if interior:
-                if not (m * f.alpha_min < val < m * f.alpha_max):
-                    ok = False
+    for prefix in itertools.product(*(ranges[:last] + ranges[last + 1:])):
+        t_lo, t_hi = t_min, t_max
+        for rest, a, lo, hi in bounds:
+            s = sum(map(operator.mul, rest, prefix))
+            if a:
+                t_lo = max(t_lo, -((s - lo) // a))
+                t_hi = min(t_hi, (hi - s) // a)
+                if t_lo > t_hi:
                     break
-            elif not (m * f.alpha_min <= val <= m * f.alpha_max):
-                ok = False
+            elif not lo <= s <= hi:
                 break
-        if ok:
-            count += 1
+        else:
+            count += t_hi - t_lo + 1
     return count
 
 

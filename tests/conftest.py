@@ -1,11 +1,15 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
-the Fraction references that the integer kernels are tested against."""
+the references that the fast kernels are tested against: Fraction
+elimination, dict polynomial arithmetic and the bounding-box lattice scan."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from zonoq import from_matrix
+from zonoq import from_matrix, h_rep
+from zonoq.linalg import rank_int
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
 # a graphic K_3 with a doubled edge, a matroid with a loop, direct sums of
@@ -28,12 +32,40 @@ CORPUS_MATRICES = {
 # the non-unimodular diamond (det 2); negative example only
 DIAMOND = [[1, 1], [-1, 1]]
 
+# R10 = [I5 | D]: the regular matroid that is neither graphic nor cographic,
+# the one such building block in Seymour's decomposition of regular matroids
+_R10_D = [[-1, 1, 0, 0, 1],
+          [1, -1, 1, 0, 0],
+          [0, 1, -1, 1, 0],
+          [0, 0, 1, -1, 1],
+          [1, 0, 0, 1, -1]]
+R10 = [[int(i == j) for j in range(5)] + _R10_D[i] for i in range(5)]
+
 
 def graphic(vertices, edges):
     """Directed incidence matrix with the last vertex's row deleted
     (connected graph: full row rank, totally unimodular)."""
     return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
             for v in range(vertices - 1)]
+
+
+def sweep_matrices():
+    """Seeded full-rank matrices, d 1-4, n <= 7, entries -2..2, plus the
+    diamond and matrices with zero and parallel columns."""
+    mats = [DIAMOND,
+            [[1, 0, 0, 1], [0, 0, 1, 1]],  # zero column
+            [[1, 2, 0, -1], [1, 2, 1, 0]],  # parallel columns, not unimodular
+            [[1, 1, 0, 1, 0], [0, 0, 1, -1, 0], [1, 1, 1, 0, 1]],
+            [[2, 0, 0], [0, 0, 1]]]
+    rng = random.Random(2024)
+    while len(mats) < 400:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        hi = rng.choice((1, 2))  # entries in -1..1 make unimodular A common
+        A = [[rng.randint(-hi, hi) for _ in range(n)] for _ in range(d)]
+        if rank_int(A) == d:
+            mats.append(A)
+    return mats
 
 
 def fraction_rref(rows, ncols):
@@ -124,6 +156,34 @@ def dict_eval_t(p, value):
     for (k, e), c in p.items():
         out = dict_add(out, dict_mul({e: c}, dict_pow(value, k, 0)))
     return out
+
+
+def box_scan_count(M, m, interior=False):
+    """Lattice points of mZ by testing every facet pair at every point of
+    the bounding box: the reference for interval counting."""
+    if m < 1:
+        raise ValueError("dilate m must be >= 1")
+    if M.d == 0:
+        return 1
+    rep = h_rep(M)
+    ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
+              for row in M.realization.entries]
+    count = 0
+    facets = rep.facets
+    for x in itertools.product(*ranges):
+        ok = True
+        for f in facets:
+            val = sum(ci * xi for ci, xi in zip(f.c, x))
+            if interior:
+                if not (m * f.alpha_min < val < m * f.alpha_max):
+                    ok = False
+                    break
+            elif not (m * f.alpha_min <= val <= m * f.alpha_max):
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 EXPECTED_VERDICT = {

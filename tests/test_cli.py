@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import DIAMOND
+from conftest import DIAMOND, R10
 from zonoq.cli import run
 from zonoq.exact import laurent_from_json, polytq_from_json
 from zonoq import graded_count, series
@@ -108,6 +108,13 @@ class TestVerify:
         assert names == {"lattice-vs-tutte", "zonalg-vs-graded",
                          "series-vs-counts", "reciprocity", "degree1-dim",
                          "thickening"}
+
+    def test_r10_passes(self, tmp_path, capsys):
+        path = tmp_path / "r10.json"
+        path.write_text(json.dumps({"name": "R10", "matrix": R10}))
+        code, doc = run_json(capsys, ["verify", str(path), "--m-max", "1"])
+        assert code == 0
+        assert doc["status"] == "pass" and doc["witnesses"] == []
 
     def test_diamond_exits_2(self, tmp_path, capsys):
         path = tmp_path / "diamond.json"

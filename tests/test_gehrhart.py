@@ -302,3 +302,7 @@ class TestGuardScale:
 
     def test_reciprocity(self, big):
         assert reciprocity_check(big, 2)
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_lattice_count_is_stanley_count(self, big, interior):
+        assert lattice_count(big, 1, interior) == tutte_count(big, 1, interior)

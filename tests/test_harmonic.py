@@ -59,6 +59,11 @@ class TestSegreGenerators:
         assert presentation_lines(segre_generators(hexagon)) == \
             ["z_{1} + z_{2} - z_{3}"]
 
+    def test_variable_guard_names_value(self):
+        with pytest.raises(GuardExceeded,
+                           match=r"^15 ground-set elements > VARIABLE_GUARD=14$"):
+            segre_generators(from_matrix([[1] * 15]))
+
 
 class TestDegree1Dim:
     def test_examples(self, corpus, hexagon):
@@ -173,6 +178,10 @@ class TestEulerMahonian:
             total = sum(g.eval_at_one()
                         for g in euler_mahonian(n).coeffs.values())
             assert total == math.factorial(n)
+
+    def test_factorial_guard_names_value(self):
+        with pytest.raises(GuardExceeded, match=r"^n = 9 exceeds FACTORIAL_GUARD=8$"):
+            euler_mahonian(9)
 
     @pytest.mark.parametrize("n", range(6))
     def test_equals_cube_numerator(self, n):

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from conftest import DIAMOND, fraction_kernel
+from conftest import DIAMOND, R10, fraction_kernel, sweep_matrices
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
-from zonoq.linalg import det_int, rank_int
+from zonoq.linalg import det_int
 
 
 def brute_independent_sets(M) -> int:
@@ -47,25 +47,6 @@ def reference_unimodular(A):
                for combo in itertools.combinations(range(n), d))
 
 
-def sweep_matrices():
-    """Seeded full-rank matrices, d 1-4, n <= 7, entries -2..2, plus the
-    diamond and matrices with zero and parallel columns."""
-    mats = [DIAMOND,
-            [[1, 0, 0, 1], [0, 0, 1, 1]],  # zero column
-            [[1, 2, 0, -1], [1, 2, 1, 0]],  # parallel columns, not unimodular
-            [[1, 1, 0, 1, 0], [0, 0, 1, -1, 0], [1, 1, 1, 0, 1]],
-            [[2, 0, 0], [0, 0, 1]]]
-    rng = random.Random(2024)
-    while len(mats) < 400:
-        d = rng.randint(1, 4)
-        n = rng.randint(d, 7)
-        hi = rng.choice((1, 2))  # entries in -1..1 make unimodular A common
-        A = [[rng.randint(-hi, hi) for _ in range(n)] for _ in range(d)]
-        if rank_int(A) == d:
-            mats.append(A)
-    return mats
-
-
 class TestConstruction:
     def test_hexagon_circuits_and_cocircuits(self, hexagon):
         assert [(c.support, c.alpha) for c in hexagon.circuits] == \
@@ -98,14 +79,31 @@ class TestConstruction:
             from_matrix([[1, 1], [1, 1]])
 
     def test_ground_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded,
+                           match=r"^ground set 17 exceeds guard GROUND_GUARD=16$"):
             from_matrix([[1] * 17])
 
     def test_circuit_kernel_check_names_support(self, monkeypatch):
         import zonoq.matroid as matroid
         monkeypatch.setattr(matroid, "nullspace_primitive", lambda rows, n: [])
+        M = from_matrix([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(ArithmeticError, match=r"\(0, 1, 2\)"):
-            from_matrix([[1, 0, 1], [0, 1, 1]])
+            M.circuits
+
+    def test_circuits_are_built_on_first_use(self, monkeypatch):
+        import zonoq.matroid as matroid
+
+        def no_circuits(rz):
+            raise RuntimeError("circuits enumerated")
+
+        # construction, unimodularity, Tutte and thickening read no circuit
+        monkeypatch.setattr(matroid, "_find_circuits", no_circuits)
+        M = from_matrix([[1, 0, 1], [0, 1, 1]])
+        assert M.is_unimodular()
+        assert M.tutte() == BiPolyXY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
+        assert M.thicken(2).tutte() == tutte_thickened(M.tutte(), M.d, 2)
+        with pytest.raises(RuntimeError, match="circuits enumerated"):
+            M.circuits
 
     def test_circuit_minimality_and_relation(self, corpus):
         for M in corpus.values():
@@ -122,6 +120,18 @@ class TestConstruction:
                     g = __import__("math").gcd(g, al)
                 assert g == 1
                 assert next(al for al in c.alpha if al) > 0
+
+
+class TestR10:
+    def test_regular_but_neither_graphic_nor_cographic(self):
+        M = from_matrix(R10)
+        assert M.is_unimodular()
+        T = M.tutte()
+        assert T.eval_int(1, 1) == 162 and T.eval_int(2, 1) == 533
+        # all circuits and cocircuits even: no graph or cograph at rank 5
+        assert len(M.circuits) == 30 and len(M.cocircuits) == 30
+        assert {len(c.support) for c in M.circuits} == {4, 6}
+        assert {cc.support_size for cc in M.cocircuits} == {4, 6}
 
 
 class TestRank:
@@ -293,7 +303,9 @@ class TestThicken:
         assert M.realization.entries == ((1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1))
 
     def test_guard(self, hexagon):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(
+                GuardExceeded,
+                match=r"^thickening by 6 would have 18 elements > GROUND_GUARD=16$"):
             hexagon.thicken(6)
 
     def test_preserves_unimodularity(self, corpus):

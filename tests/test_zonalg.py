@@ -1,11 +1,14 @@
 """Zonotopal-algebra Hilbert series: the independent algebraic oracle."""
 
+import itertools
 import random
 
 import pytest
 
+from conftest import R10, graphic
 from zonoq import (
     GradedIdealSpec,
+    GuardExceeded,
     external_spec,
     from_matrix,
     graded_count,
@@ -38,6 +41,19 @@ class TestSpecs:
         with pytest.raises(ValueError):
             external_spec(from_matrix([]))
 
+    def test_generators_in_cocircuit_order(self, corpus):
+        # hilbert reorders the generators it expands, never the spec
+        for M in (corpus["k3_doubled"], from_matrix(K4)):
+            assert external_spec(M).generators == tuple(
+                (cc.c, cc.support_size + 1) for cc in M.cocircuits)
+            assert internal_spec(M).generators == tuple(
+                (cc.c, cc.support_size - 1) for cc in M.cocircuits)
+
+
+K4 = graphic(4, list(itertools.combinations(range(4), 2)))
+# d = 4: a 4-cycle with a pendant vertex and two chords
+GRAPHIC_D4 = graphic(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)])
+
 
 class TestHilbert:
     def test_hexagon_external(self, hexagon):
@@ -63,6 +79,29 @@ class TestHilbert:
         expected = hilbert(spec).dims
         assert hilbert(reordered).dims == expected
         assert hilbert(scaled).dims == expected
+
+    @pytest.mark.parametrize("name", ["hexagon", "K4", "graphic_d4"])
+    def test_dims_independent_of_generator_order(self, hexagon, name):
+        M = {"hexagon": hexagon, "K4": from_matrix(K4),
+             "graphic_d4": from_matrix(GRAPHIC_D4)}[name]
+        rng = random.Random(61)
+        for spec in (external_spec(M), internal_spec(M)):
+            expected = hilbert(spec).dims
+            for _ in range(4):
+                gens = list(spec.generators)
+                rng.shuffle(gens)
+                shuffled = GradedIdealSpec(spec.variables, tuple(gens),
+                                           spec.degree_cap)
+                assert hilbert(shuffled).dims == expected, name
+
+    def test_monomial_guard_names_value(self):
+        # x_1^5 in 50 variables: no rows below degree 5, and degree 4
+        # already has C(53, 4) monomials
+        spec = GradedIdealSpec(50, (((1,) + (0,) * 49, 5),), 5)
+        with pytest.raises(
+                GuardExceeded,
+                match=r"^degree 4 has 292825 monomials > MONOMIAL_GUARD=50000$"):
+            hilbert(spec)
 
     def test_external_starts_at_one_and_counts_points(self, corpus):
         for name, M in corpus.items():
@@ -91,6 +130,15 @@ class TestVersusTutte:
         for name, M in corpus.items():
             if M.d >= 1:
                 assert verify_zonotopal(M), name
+
+
+class TestR10:
+    def test_m1_matches_graded_count(self):
+        # the regular matroid that is neither graphic nor cographic
+        M = from_matrix(R10)
+        assert hilbert(external_spec(M)).as_laurent == graded_count(M, 1).value
+        assert hilbert(internal_spec(M)).as_laurent == \
+            graded_count(M, 1, interior=True).value
 
 
 class TestOrbitHarmonicsOracle:

@@ -1,10 +1,10 @@
-"""Geometry oracle: H-description and brute-force lattice counts."""
+"""Geometry oracle: H-description and enumerated lattice counts."""
 
 import random
 
 import pytest
 
-from conftest import DIAMOND
+from conftest import DIAMOND, R10, box_scan_count, graphic, sweep_matrices
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, h_rep, lattice_count, tutte_count
 
 
@@ -59,6 +59,56 @@ class TestLatticeCount:
     def test_diamond_rejected(self):
         with pytest.raises(NotUnimodular):
             lattice_count(from_matrix(DIAMOND), 1)
+
+
+def random_graphic(rng):
+    """A random connected graph on 2-5 vertices, parallel edges allowed,
+    with its columns shuffled and some negated."""
+    v = rng.randint(2, 5)
+    edges = [(rng.randrange(i), i) for i in range(1, v)]  # a spanning tree
+    edges += [tuple(rng.sample(range(v), 2)) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(edges)
+    A = graphic(v, edges)
+    flips = [rng.choice((1, -1)) for _ in edges]
+    return [[a * s for a, s in zip(row, flips)] for row in A]
+
+
+class TestIntervalCounting:
+    """Interval counting against the scan of the whole bounding box."""
+
+    @staticmethod
+    def assert_matches_box_scan(A, ms=(1, 2, 3)):
+        M = from_matrix(A)
+        for m in ms:
+            for interior in (False, True):
+                assert lattice_count(M, m, interior) == \
+                    box_scan_count(M, m, interior), (A, m, interior)
+
+    def test_sweep(self):
+        unimodular = [A for A in sweep_matrices()
+                      if from_matrix(A).is_unimodular()]
+        assert len(unimodular) > 100
+        for A in unimodular:
+            self.assert_matches_box_scan(A)
+
+    def test_generated_unimodular(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            self.assert_matches_box_scan(random_graphic(rng))
+
+    def test_d1_and_zero_columns(self):
+        for A in ([[1]], [[1, 1, 1]], [[0, 1, 0, -1]], [[1, 0, 0, 1], [0, 0, 1, 1]]):
+            self.assert_matches_box_scan(A)
+
+    def test_facets_free_of_the_last_coordinate(self):
+        # every facet of a box involves one coordinate only, so whichever
+        # coordinate is counted by interval, the others give pass/fail tests
+        for d in (2, 3):
+            self.assert_matches_box_scan(
+                [[int(i == j) for j in range(d)] for i in range(d)])
+
+    def test_r10(self):
+        self.assert_matches_box_scan(R10, ms=(1,))
 
 
 class TestStanleyCounts:
