@@ -6,14 +6,17 @@ Circuits (with their exact integer dependency coefficients) and cocircuit
 vectors, which the geometry and algebra layers use as the single source of
 combinatorial truth, are enumerated on first use and then kept: the
 closed-formula path and the thickenings read cocircuits only, and circuits
-serve only the harmonic presentation and connectivity.
+serve only the harmonic presentation.
 
-Cocircuits come from one integer sweep over (d-1)-subsets of columns, whose
-cofactor vectors are the hyperplane normals; unimodularity is read off them
-(A is unimodular iff every cocircuit vector lies in {0, +-1}^n).
+Both come from one integer sweep over (d-1)-subsets of columns, whose
+one-dimensional left kernels are the hyperplane normals.  Run on A it gives
+the cocircuits, and unimodularity is read off them (A is unimodular iff
+every cocircuit vector lies in {0, +-1}^n); run on a kernel basis of A, which
+realizes the dual matroid, it gives the circuits.  Connected components are
+read off the fundamental graph of one ``rref_int``.
 
-Ground sets are capped at 16 elements: circuit/cocircuit search is by subset
-enumeration, which is exact and fast at desk scale.
+Ground sets are capped at 16 elements: the sweep is a subset enumeration,
+which is exact and fast at desk scale.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GuardExceeded
 from .exact import BiPolyXY
-from .linalg import (det_int, nullspace_primitive, primitive_vector, rank_int,
-                     rref_int)
+from .linalg import nullspace_primitive, primitive_vector, rank_int, rref_int
 
 GROUND_GUARD = 16
 
@@ -169,13 +170,6 @@ class RealizedMatroid:
 
     # -- minors ---------------------------------------------------------------
 
-    def minor(self, op: str, i: int) -> "RealizedMatroid":
-        if op == "delete":
-            return self.delete(i)
-        if op == "contract":
-            return self.contract(i)
-        raise ValueError(f"unknown minor operation {op!r}")
-
     def delete(self, i: int) -> "RealizedMatroid":
         if not 0 <= i < self.n:
             raise ValueError("element out of range")
@@ -219,9 +213,12 @@ class RealizedMatroid:
     # -- connectivity ---------------------------------------------------------
 
     def connected_components(self) -> tuple[Component, ...]:
-        """Partition by co-occurrence in a circuit; loops and coloops are
-        singletons.  A component is flagged when its element set is itself a
-        circuit (a loop counts as a size-1 circuit)."""
+        """Components of the fundamental graph of the greedy basis, read off
+        ``rref_int(A)``: a nonzero R[i][j] links the i-th pivot column to
+        column j.  Loops and coloops are singletons.  A component is flagged
+        when its element set is itself a circuit, i.e. when it holds exactly
+        one non-basis column (a loop counts as a size-1 circuit)."""
+        pivots, R = rref_int(self.realization.entries)
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -230,15 +227,15 @@ class RealizedMatroid:
                 a = parent[a]
             return a
 
-        for circ in self.circuits:
-            root = find(circ.support[0])
-            for j in circ.support[1:]:
-                parent[find(j)] = root
+        for pc, row in zip(pivots, R):
+            for j, x in enumerate(row):
+                if x:
+                    parent[find(j)] = find(pc)
         groups: dict[int, list[int]] = {}
         for j in range(self.n):
             groups.setdefault(find(j), []).append(j)
-        circuit_supports = {frozenset(c.support) for c in self.circuits}
-        comps = [Component(tuple(sorted(g)), frozenset(g) in circuit_supports)
+        basis = set(pivots)
+        comps = [Component(tuple(g), sum(1 for j in g if j not in basis) == 1)
                  for g in groups.values()]
         return tuple(sorted(comps, key=lambda c: c.elements))
 
@@ -269,54 +266,46 @@ def _from_realization(rz: Realization) -> RealizedMatroid:
 
 
 def _find_circuits(rz: Realization) -> tuple[CircuitRep, ...]:
-    cols = rz.columns()
-    circuits: list[CircuitRep] = []
-    supports: list[frozenset] = []
-    # every circuit has at most d+1 elements
-    for size in range(1, rz.d + 2):
-        for combo in itertools.combinations(range(rz.n), size):
-            cset = set(combo)
-            if any(s <= cset for s in supports):
-                continue
-            sub = [cols[j] for j in combo]
-            if rank_int(sub) < size:
-                kern = nullspace_primitive(
-                    [[cols[j][i] for j in combo] for i in range(rz.d)], size)
-                if len(kern) != 1:
-                    raise ArithmeticError(
-                        f"circuit {combo} has a {len(kern)}-dimensional kernel")
-                circuits.append(CircuitRep(combo, kern[0]))
-                supports.append(frozenset(combo))
-    return tuple(circuits)
+    """The cocircuits of the dual, realized by a kernel basis of A: each
+    cocircuit vector is a minimal dependency of A's columns, made primitive
+    (the sweep's v need not be when A is not unimodular) and restricted to
+    its support.  Sorted by (size, support), the order of a subset
+    enumeration."""
+    kernel = nullspace_primitive(rz.entries, rz.n)
+    circuits = []
+    for cc in _find_cocircuits(Realization(len(kernel), rz.n, tuple(kernel))):
+        v = primitive_vector(cc.v)
+        support = cc.support
+        circuits.append(CircuitRep(support, tuple(v[j] for j in support)))
+    return tuple(sorted(circuits, key=lambda c: (len(c.support), c.support)))
 
 
 def _find_cocircuits(rz: Realization) -> tuple[CocircuitVector, ...]:
     """One cocircuit per hyperplane spanned by a (d-1)-subset of columns.
 
-    The subset's cofactor vector c_i = (-1)^i det(subset minus row i) is zero
-    iff its rank is below d - 1, else c / gcd(c) is the primitive normal of
-    its span.  Subsets inside a hyperplane already found are skipped.
+    The subset spans a hyperplane iff the vectors c with c^T a_j = 0 on it
+    form a line; ``nullspace_primitive`` then gives its primitive normal c,
+    and v = c^T A.  Subsets inside a hyperplane already found are skipped.
     """
     d, n, rows = rz.d, rz.n, rz.entries
     if d == 0:
         return ()
+    cols = rz.columns()
     found: list[CocircuitVector] = []
     zero_sets: list[int] = []  # bitmask of the columns each hyperplane holds
     for combo in itertools.combinations(range(n), d - 1):
         mask = sum(1 << j for j in combo)
         if any(mask & z == mask for z in zero_sets):
             continue
-        sub = [[rows[i][j] for j in combo] for i in range(d)]
-        c = [det_int(sub[:i] + sub[i + 1:]) * (-1) ** i for i in range(d)]
-        g = gcd(*c)
-        if not g:
+        normals = nullspace_primitive([cols[j] for j in combo], d)
+        if len(normals) != 1:
             continue
+        c = normals[0]
         v = [sum(c[i] * rows[i][j] for i in range(d)) for j in range(n)]
         if next(x for x in v if x) < 0:
-            g = -g
-        c = tuple(x // g for x in c)
-        v = tuple(x // g for x in v)
-        found.append(CocircuitVector(v, c, sum(1 for x in v if x)))
+            c = tuple(-x for x in c)
+            v = [-x for x in v]
+        found.append(CocircuitVector(tuple(v), c, sum(1 for x in v if x)))
         zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
     return tuple(sorted(found, key=lambda cc: cc.v))
 

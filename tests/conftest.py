@@ -1,6 +1,7 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
-elimination, dict polynomial arithmetic and the bounding-box lattice scan."""
+elimination, subset-enumerated circuits, dict polynomial arithmetic and the
+bounding-box lattice scan."""
 
 import itertools
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from zonoq import from_matrix, h_rep
-from zonoq.linalg import rank_int
+from zonoq.linalg import nullspace_primitive, rank_int
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
 # a graphic K_3 with a doubled edge, a matroid with a loop, direct sums of
@@ -99,6 +100,44 @@ def fraction_kernel(rows, ncols):
             vec[pc] = -m[r][free]
         basis.append(vec)
     return basis
+
+
+def reference_circuits(rz):
+    """(support, alpha) per circuit of a Realization, in enumeration order:
+    every subset of at most d+1 columns that is dependent and holds no
+    circuit found before, with the primitive kernel vector of its columns."""
+    cols = rz.columns()
+    circuits = []
+    for size in range(1, rz.d + 2):
+        for combo in itertools.combinations(range(rz.n), size):
+            if any(set(s) <= set(combo) for s, _ in circuits):
+                continue
+            if rank_int([cols[j] for j in combo]) < size:
+                kern = nullspace_primitive(
+                    [[cols[j][i] for j in combo] for i in range(rz.d)], size)
+                assert len(kern) == 1, combo
+                circuits.append((combo, kern[0]))
+    return circuits
+
+
+def reference_components(n, circuits):
+    """(elements, is_circuit) per component: the classes of co-occurrence in
+    a circuit, flagged when the class is itself a circuit support."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for support, _ in circuits:
+        for j in support[1:]:
+            parent[find(j)] = find(support[0])
+    groups = {}
+    for j in range(n):
+        groups.setdefault(find(j), []).append(j)
+    supports = {frozenset(s) for s, _ in circuits}
+    return sorted((tuple(g), frozenset(g) in supports) for g in groups.values())
 
 
 # -- the term-map reference for the dense polynomial core --------------------

@@ -1,10 +1,11 @@
 """Command-line interface: formats, round-trips, exit codes."""
 
+import itertools
 import json
 
 import pytest
 
-from conftest import DIAMOND, R10
+from conftest import DIAMOND, R10, graphic
 from zonoq.cli import run
 from zonoq.exact import laurent_from_json, polytq_from_json
 from zonoq import graded_count, series
@@ -115,6 +116,17 @@ class TestVerify:
         code, doc = run_json(capsys, ["verify", str(path), "--m-max", "1"])
         assert code == 0
         assert doc["status"] == "pass" and doc["witnesses"] == []
+
+    def test_k6_skips_degree1_dim(self, tmp_path, capsys):
+        # n = 15 is past VARIABLE_GUARD=14: the presentation check is skipped
+        path = tmp_path / "k6.json"
+        K6 = graphic(6, list(itertools.combinations(range(6), 2)))
+        path.write_text(json.dumps({"name": "K6", "matrix": K6}))
+        code, doc = run_json(capsys, ["verify", str(path), "--m-max", "1"])
+        assert code == 0
+        assert doc["status"] == "pass" and doc["witnesses"] == []
+        assert {"check": "degree1-dim", "detail": "", "status": "skipped"} \
+            in doc["checks"]
 
     def test_diamond_exits_2(self, tmp_path, capsys):
         path = tmp_path / "diamond.json"

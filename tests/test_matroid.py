@@ -1,4 +1,5 @@
-"""Realized matroids: circuits, cocircuits, rank, minors, Tutte, thickening."""
+"""Realized matroids: circuits, cocircuits, rank, minors, Tutte, thickening,
+components."""
 
 import collections
 import itertools
@@ -7,9 +8,11 @@ import random
 
 import pytest
 
-from conftest import DIAMOND, R10, fraction_kernel, sweep_matrices
+from conftest import (DIAMOND, R10, fraction_kernel, reference_circuits,
+                      reference_components, sweep_matrices)
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
+from zonoq.harmonic import gorenstein_classify
 from zonoq.linalg import det_int
 
 
@@ -38,6 +41,15 @@ def reference_cocircuits(A):
         v = tuple(x // g for x in v)
         found[v] = (v, tuple(x // g for x in c), sum(1 for x in v if x))
     return sorted(found.values())
+
+
+def rank_zero_minors():
+    """The d = 0 contractions of three rank-1 matrices: loops only."""
+    out = []
+    for A in ([[1, 1]], [[1, 0, 1]], [[1, 1, 1]]):
+        M = from_matrix(A)
+        out += [M.contract(i) for i in range(M.n) if A[0][i]]
+    return out
 
 
 def reference_unimodular(A):
@@ -83,12 +95,13 @@ class TestConstruction:
                            match=r"^ground set 17 exceeds guard GROUND_GUARD=16$"):
             from_matrix([[1] * 17])
 
-    def test_circuit_kernel_check_names_support(self, monkeypatch):
-        import zonoq.matroid as matroid
-        monkeypatch.setattr(matroid, "nullspace_primitive", lambda rows, n: [])
-        M = from_matrix([[1, 0, 1], [0, 1, 1]])
-        with pytest.raises(ArithmeticError, match=r"\(0, 1, 2\)"):
-            M.circuits
+    def test_circuits_match_subset_enumeration(self):
+        # the dual sweep gives the same circuits, in the same order, as a
+        # rank test on every subset of at most d+1 columns
+        for M in [from_matrix(A) for A in sweep_matrices() + [R10]] + \
+                rank_zero_minors():
+            got = [(c.support, c.alpha) for c in M.circuits]
+            assert got == reference_circuits(M.realization), M.realization
 
     def test_circuits_are_built_on_first_use(self, monkeypatch):
         import zonoq.matroid as matroid
@@ -96,12 +109,16 @@ class TestConstruction:
         def no_circuits(rz):
             raise RuntimeError("circuits enumerated")
 
-        # construction, unimodularity, Tutte and thickening read no circuit
+        # construction, unimodularity, Tutte, thickening, connectivity and
+        # the Gorenstein classification read no circuit
         monkeypatch.setattr(matroid, "_find_circuits", no_circuits)
         M = from_matrix([[1, 0, 1], [0, 1, 1]])
         assert M.is_unimodular()
         assert M.tutte() == BiPolyXY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
         assert M.thicken(2).tutte() == tutte_thickened(M.tutte(), M.d, 2)
+        assert [(c.elements, c.is_circuit) for c in M.connected_components()] \
+            == [((0, 1, 2), True)]
+        assert gorenstein_classify(M).verdict == "circuit-components"
         with pytest.raises(RuntimeError, match="circuits enumerated"):
             M.circuits
 
@@ -282,12 +299,6 @@ class TestMinor:
         with pytest.raises(ValueError):
             M.delete(0)
 
-    def test_minor_dispatch(self, hexagon):
-        assert hexagon.minor("delete", 0).n == 2
-        assert hexagon.minor("contract", 0).d == 1
-        with pytest.raises(ValueError):
-            hexagon.minor("truncate", 0)
-
 
 class TestThicken:
     def test_duplicated_coloop(self):
@@ -359,3 +370,9 @@ class TestComponents:
         comps = corpus["loop_parallel"].connected_components()
         assert [(c.elements, c.is_circuit) for c in comps] == \
             [((0, 2), True), ((1,), True)]
+
+    def test_match_circuit_cooccurrence(self):
+        for M in [from_matrix(A) for A in sweep_matrices()] + rank_zero_minors():
+            got = [(c.elements, c.is_circuit) for c in M.connected_components()]
+            assert got == reference_components(
+                M.n, reference_circuits(M.realization)), M.realization
