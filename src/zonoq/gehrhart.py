@@ -11,7 +11,8 @@ degree bounds, so the whole module stays inside exact Laurent arithmetic.
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
 the bar involution q -> 1/q, t -> -qt, and rational generating functions all
-have closed forms.
+have closed forms.  Its basis coefficients (a q-difference table of values)
+and both series numerators (Horner's rule) take subtractions and shifts only.
 
 The Ehrhart polynomial (both forms) and both series are built once per
 matroid and then shared by every caller (see ``matroid.invariant``).
@@ -100,22 +101,24 @@ def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
 
 @invariant
 def ehr_poly(M: RealizedMatroid) -> QIVP:
-    """The graded Ehrhart polynomial in the q-binomial basis.
-
-    Interpolates the t-power form at t = [0]_q, ..., [n]_q; the evaluation
-    matrix qbinom(m, k) is triangular with unit diagonal, so the conversion
-    never leaves Laurent arithmetic.
-    """
+    """The graded Ehrhart polynomial in the q-binomial basis, interpolated
+    from the values of its t-power form at t = [0]_q, ..., [n]_q."""
     tp = ehr_tpower(M)
-    n = M.n
-    values = [tp.eval_t(LaurentQ.q_int(m)) for m in range(n + 1)]
-    coeffs: list[LaurentQ] = []
-    for m in range(n + 1):
-        f = values[m]
-        for k in range(m):
-            f = f - coeffs[k] * qbinom(m, k)
-        coeffs.append(f)
-    return QIVP(tuple(coeffs), n)
+    return _interpolate([tp.eval_t(LaurentQ.q_int(m)) for m in range(M.n + 1)])
+
+
+def _interpolate(values: list[LaurentQ]) -> QIVP:
+    """The QIVP of degree D = len(values) - 1 with value values[m] at [m]_q.
+
+    By q-Pascal, binom(m+1,k)_q = q^(m+1-k) binom(m,k-1)_q + binom(m,k)_q, so
+    q^(-m) (v_(m+1) - v_m) has basis coefficients f_(k+1) q^(-k): row k of
+    that q-difference table starts with f_k q^(-k(k-1)/2).
+    """
+    row, coeffs = values, []
+    for k in range(len(values)):
+        coeffs.append(row[0].shift(k * (k - 1) // 2))
+        row = [(b - a).shift(-m) for m, (a, b) in enumerate(zip(row, row[1:]))]
+    return QIVP(tuple(coeffs), len(values) - 1)
 
 
 def eval_qivp(P: QIVP, m: int) -> LaurentQ:
@@ -143,35 +146,32 @@ def bar_eval(P: QIVP, m: int) -> LaurentQ:
     return out
 
 
-def _tails(D: int) -> list[PolyTQ]:
-    """The products prod_{i=k+1}^{D} (1 - t q^i) for k = 0, ..., D."""
-    tails = [PolyTQ.one()]
-    for i in range(D, 0, -1):
-        factor = PolyTQ({0: LaurentQ.one(), 1: LaurentQ.q_power(i, -1)})
-        tails.append(tails[-1] * factor)
-    return tails[::-1]
+def _over_denominator(terms: list[tuple[int, LaurentQ]]) -> PolyTQ:
+    """sum_k t^(e_k) g_k prod_{i=k+1}^{D} (1 - t q^i), (e_k, g_k) = terms[k],
+    D = len(terms) - 1, by Horner's rule acc <- acc (1 - t q^k) + t^(e_k) g_k:
+    a t-shift and a q-shift per step, never a product (e_k <= D + 1)."""
+    zero = LaurentQ.zero()
+    acc = [zero] * (len(terms) + 1)  # coefficients of t^0, ..., t^(D+1)
+    for k, (e, g) in enumerate(terms):
+        acc = [a - b.shift(k) for a, b in zip(acc, [zero] + acc)]
+        acc[e] = acc[e] + g
+    return PolyTQ(enumerate(acc))
 
 
 def qivp_series(P: QIVP) -> RatSeries:
-    """Generating function sum_{m>=0} P([m]_q) t^m as a RatSeries of order
-    equal to the degree of P."""
-    tails = _tails(P.degree)
-    num = PolyTQ.zero()
-    for k, f in enumerate(P.basis_coeffs):
-        num = num + PolyTQ.t_power(k, f) * tails[k]
-    return RatSeries(num, P.degree)
+    """Generating function sum_{m>=0} P([m]_q) t^m, of order D = degree of P:
+    the numerator is sum_k t^k f_k prod_{i=k+1}^{D} (1 - t q^i)."""
+    return RatSeries(_over_denominator(list(enumerate(P.basis_coeffs))), P.degree)
 
 
 def qivp_bar_series(P: QIVP) -> RatSeries:
-    """Generating function sum_{m>=1} bar(P)([m]_q) t^m over the same
-    denominator prod_{i=0}^{D} (1 - t q^i), D the degree of P."""
-    tails = _tails(P.degree)
-    num = PolyTQ.zero()
+    """Generating function sum_{m>=1} bar(P)([m]_q) t^m, of order D: the same
+    sum with t (-1)^k q^(k(k+1)/2) bar(f_k) in place of t^k f_k."""
+    terms = []
     for k, f in enumerate(P.basis_coeffs):
-        sign = -1 if k % 2 else 1
-        coeff = f.bar() * LaurentQ.q_power(k * (k + 1) // 2, sign)
-        num = num + PolyTQ.t_power(1, coeff) * tails[k]
-    return RatSeries(num, P.degree, interior=True)
+        g = f.bar().shift(k * (k + 1) // 2)
+        terms.append((1, -g if k % 2 else g))
+    return RatSeries(_over_denominator(terms), P.degree, interior=True)
 
 
 @invariant

@@ -72,7 +72,8 @@ def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
     Each pivot step replaces every other row by
     ``(p * row - f * pivot_row) / prev``, exact by Sylvester's identity, so
     each pivot entry of R ends equal to D, the last pivot (1 if none), and
-    the pivot columns are the leftmost (greedy) column basis.
+    the pivot columns are the leftmost (greedy) column basis.  Division by a
+    unit prev is done as a multiplication.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -88,8 +89,14 @@ def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
         top = m[r]
         p = top[col]
         for i in range(nr):
-            if i != r:
-                f = m[i][col]
+            f = m[i][col]
+            if i == r or (not f and p == prev):  # the row would not change
+                continue
+            if prev == 1:
+                m[i] = [p * a - f * b for a, b in zip(m[i], top)]
+            elif prev == -1:
+                m[i] = [f * b - p * a for a, b in zip(m[i], top)]
+            else:
                 m[i] = [_exact_div(p * a - f * b, prev) for a, b in zip(m[i], top)]
         prev = p
         pivots.append(col)

@@ -69,38 +69,39 @@ def _spec(M: RealizedMatroid, shift: int) -> GradedIdealSpec:
     return GradedIdealSpec(M.d, gens, M.n + 1)
 
 
-def _monomials(d: int, k: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of degree k in d variables, graded-lex order."""
+def _monomials(d: int, k: int, base: int) -> list[int]:
+    """Columns of the degree-k monomials in d variables, ascending.
+
+    x^e has column -(e read in base ``base`` > k, x_1 most significant):
+    ascending columns run in graded-lex order, and the column of a product
+    of monomials is the sum of their columns.
+    """
     if d == 0:
-        return [()] if k == 0 else []
+        return [0] if k == 0 else []
     out = []
 
-    def rec(prefix: list[int], rest: int, pos: int):
+    def rec(col: int, rest: int, pos: int):
         if pos == d - 1:
-            out.append(tuple(prefix + [rest]))
+            out.append(col - rest)
             return
+        weight = base ** (d - 1 - pos)
         for e in range(rest, -1, -1):
-            rec(prefix + [e], rest - e, pos + 1)
+            rec(col - e * weight, rest - e, pos + 1)
 
-    rec([], k, 0)
+    rec(0, k, 0)
     return out
 
 
-def _form_power(c: tuple[int, ...], e: int) -> dict[tuple[int, ...], int]:
-    """Expand (sum c_i x_i)^e as exponent-tuple -> coefficient."""
+def _form_power(c: tuple[int, ...], e: int, base: int) -> dict[int, int]:
+    """Expand (sum c_i x_i)^e as monomial column -> coefficient."""
     d = len(c)
-    poly = {(0,) * d: 1}
-    lin = {}
-    for i, ci in enumerate(c):
-        if ci:
-            key = tuple(1 if j == i else 0 for j in range(d))
-            lin[key] = ci
+    poly = {0: 1}
+    lin = {-base ** (d - 1 - i): ci for i, ci in enumerate(c) if ci}
     for _ in range(e):
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[int, int] = {}
         for mono, co in poly.items():
             for lm, lc in lin.items():
-                key = tuple(a + b for a, b in zip(mono, lm))
-                nxt[key] = nxt.get(key, 0) + co * lc
+                nxt[mono + lm] = nxt.get(mono + lm, 0) + co * lc
         poly = nxt
     return poly
 
@@ -110,30 +111,30 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
 
     dims[k] = C(d+k-1, k) - rank{monomial * generator in degree k}; the
     computation stops at the first zero dimension (the ideal then contains
-    every higher degree) and must terminate by degree_cap.
+    every higher degree) and must terminate by degree_cap.  Monomial
+    columns are read in base degree_cap + 1, so a product is one addition.
     """
     d = spec.variables
     if any(e == 0 for _, e in spec.generators):
         return HilbertFunction((), LaurentQ.zero())
+    base = spec.degree_cap + 1
     sparsest_first = sorted(spec.generators,
                             key=lambda g: (sum(1 for x in g[0] if x), g[1]))
-    expanded = [(_form_power(c, e), e) for c, e in sparsest_first]
+    expanded = [(_form_power(c, e, base), e) for c, e in sparsest_first]
     dims: list[int] = []
     for k in range(spec.degree_cap + 1):
         ncols = comb(d + k - 1, k) if k else 1
         if ncols > MONOMIAL_GUARD:
             raise GuardExceeded(
                 f"degree {k} has {ncols} monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
-        index = {mono: i for i, mono in enumerate(_monomials(d, k))}
-        shifts = {s: _monomials(d, s) for s in {k - e for _, e in expanded if e <= k}}
+        shifts = {s: _monomials(d, s, base) for s in {k - e for _, e in expanded if e <= k}}
 
         def rows():
             for poly, e in expanded:
                 if e > k:
                     continue
-                for shift_mono in shifts[k - e]:
-                    yield {index[tuple(a + b for a, b in zip(mono, shift_mono))]: co
-                           for mono, co in poly.items()}
+                for shift in shifts[k - e]:
+                    yield {col + shift: co for col, co in poly.items()}
 
         rank = echelon_rank(rows(), stop_at=ncols)
         dim = ncols - rank

@@ -1,7 +1,8 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
-elimination, subset-enumerated circuits, dict polynomial arithmetic and the
-bounding-box lattice scan."""
+elimination, subset-enumerated circuits, dict polynomial arithmetic, the
+bounding-box lattice scan, product-based q-binomial interpolation and series
+numerators, and tuple-indexed zonotopal elimination."""
 
 import itertools
 import random
@@ -10,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from zonoq import from_matrix, h_rep
-from zonoq.linalg import nullspace_primitive, rank_int
+from zonoq.exact import LaurentQ, PolyTQ, qbinom
+from zonoq.linalg import echelon_rank, nullspace_primitive, rank_int
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
 # a graphic K_3 with a doubled edge, a matroid with a loop, direct sums of
@@ -223,6 +225,80 @@ def box_scan_count(M, m, interior=False):
         if ok:
             count += 1
     return count
+
+
+# -- product-based references for the Ehrhart layer --------------------------
+
+
+def triangular_interpolation(values):
+    """q-binomial basis coefficients f_0..f_D of the QIVP taking values[m] at
+    [m]_q, through the unit-diagonal triangular matrix binom(m, k)_q:
+    f_m = values[m] - sum_{k<m} f_k binom(m, k)_q."""
+    coeffs = []
+    for m, f in enumerate(values):
+        for k in range(m):
+            f = f - coeffs[k] * qbinom(m, k)
+        coeffs.append(f)
+    return tuple(coeffs)
+
+
+def tails(D):
+    """The products prod_{i=k+1}^{D} (1 - t q^i) for k = 0, ..., D."""
+    out = [PolyTQ.one()]
+    for i in range(D, 0, -1):
+        out.append(out[-1] * PolyTQ({0: LaurentQ.one(), 1: LaurentQ.q_power(i, -1)}))
+    return out[::-1]
+
+
+def tails_series_numerator(P):
+    """sum_k t^k f_k prod_{i=k+1}^{D} (1 - t q^i), one product per term."""
+    T = tails(P.degree)
+    return sum((PolyTQ.t_power(k, f) * T[k] for k, f in enumerate(P.basis_coeffs)),
+               PolyTQ.zero())
+
+
+def tails_bar_series_numerator(P):
+    """sum_k t (-1)^k q^(k(k+1)/2) bar(f_k) prod_{i=k+1}^{D} (1 - t q^i)."""
+    T = tails(P.degree)
+    return sum((PolyTQ.t_power(1, f.bar() * LaurentQ.q_power(k * (k + 1) // 2, (-1) ** k))
+                * T[k] for k, f in enumerate(P.basis_coeffs)), PolyTQ.zero())
+
+
+def reference_hilbert_dims(spec):
+    """Graded dimensions of a zonotopal quotient with monomials as exponent
+    tuples, columns numbered in graded-lex order per degree."""
+    d = spec.variables
+    if any(e == 0 for _, e in spec.generators):
+        return ()
+
+    def monomials(k):
+        return [c for c in itertools.product(range(k, -1, -1), repeat=d) if sum(c) == k]
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    expanded = []
+    for c, e in sorted(spec.generators, key=lambda g: (sum(1 for x in g[0] if x), g[1])):
+        poly = {(0,) * d: 1}
+        for _ in range(e):
+            nxt = {}
+            for mono, co in poly.items():
+                for u, ci in zip(units, c):
+                    if ci:
+                        nxt[add(mono, u)] = nxt.get(add(mono, u), 0) + co * ci
+            poly = nxt
+        expanded.append((poly, e))
+    dims = []
+    for k in range(spec.degree_cap + 1):
+        index = {mono: i for i, mono in enumerate(monomials(k))}
+        rows = [{index[add(mono, s)]: co for mono, co in poly.items()}
+                for poly, e in expanded if e <= k for s in monomials(k - e)]
+        dim = len(index) - echelon_rank(rows, stop_at=len(index))
+        if dim == 0:
+            return tuple(dims)
+        dims.append(dim)
+    raise AssertionError("quotient did not vanish by degree_cap")
 
 
 EXPECTED_VERDICT = {

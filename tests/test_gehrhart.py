@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from conftest import CORPUS_MATRICES, DIAMOND, graphic
+from conftest import (
+    CORPUS_MATRICES,
+    DIAMOND,
+    R10,
+    graphic,
+    tails_bar_series_numerator,
+    tails_series_numerator,
+    triangular_interpolation,
+)
 from zonoq import (
     NotUnimodular,
     QIVP,
@@ -25,6 +33,7 @@ from zonoq import (
     tutte_count,
 )
 from zonoq.exact import LaurentQ, PolyTQ
+from zonoq.gehrhart import _interpolate
 
 HEX_COUNT_M1 = LaurentQ({0: 1, 1: 2, 2: 3, 3: 1})
 HEX_NUMERATOR = PolyTQ({
@@ -250,6 +259,44 @@ class TestQuantumReciprocityFormal:
             assert bar_coeffs[0] == LaurentQ.zero()
             for m in range(1, 7):
                 assert bar_coeffs[m] == bar_eval(P, m)
+
+
+class TestAgainstProductReferences:
+    """The q-difference table and the Horner numerators against triangular
+    interpolation and the sums of tails products they replaced."""
+
+    @pytest.fixture(scope="class")
+    def matroids(self, corpus):
+        return {**corpus, "R10": from_matrix(R10)}
+
+    def test_ehr_poly_is_triangular_interpolation(self, matroids):
+        for name, M in matroids.items():
+            tp = ehr_tpower(M)
+            values = [tp.eval_t(LaurentQ.q_int(m)) for m in range(M.n + 1)]
+            assert ehr_poly(M).basis_coeffs == triangular_interpolation(values), name
+
+    def test_series_numerators_match_tails(self, matroids):
+        for name, M in matroids.items():
+            P = ehr_poly(M)
+            assert series(M).numerator == tails_series_numerator(P), name
+            assert qivp_bar_series(P).numerator == tails_bar_series_numerator(P), name
+
+    def test_random_qivps(self):
+        rng = random.Random(47)
+        zero_coeffs = negative_exponents = 0
+        for degree in range(11):
+            for _ in range(4):
+                coeffs = tuple(LaurentQ.zero() if rng.random() < 0.25
+                               else rand_laurent(rng) for _ in range(degree + 1))
+                zero_coeffs += sum(1 for f in coeffs if not f)
+                negative_exponents += sum(1 for f in coeffs if not f.is_polynomial())
+                P = QIVP(coeffs, degree)
+                values = [eval_qivp(P, m) for m in range(degree + 1)]
+                assert _interpolate(values) == P
+                assert triangular_interpolation(values) == coeffs
+                assert qivp_series(P).numerator == tails_series_numerator(P)
+                assert qivp_bar_series(P).numerator == tails_bar_series_numerator(P)
+        assert zero_coeffs > 10 and negative_exponents > 10
 
 
 class TestCachedPerMatroid:

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import zonoq
-from conftest import fraction_kernel, fraction_rref, graphic
-from zonoq import degree1_dim, from_matrix, verify_zonotopal
+from conftest import fraction_kernel, fraction_rref, graphic, sweep_matrices
+from zonoq import degree1_dim, from_matrix, linalg, verify_zonotopal
 from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive, rank_int,
                           rref_int)
 
@@ -173,6 +173,23 @@ class TestDenseKernels:
                 assert next(x for x in vec if x) > 0
                 assert all(sum(a * x for a, x in zip(row, vec)) == 0
                            for row in rows)
+
+    def test_rref_int_on_sweep_matrices_divides_by_non_units(self, monkeypatch):
+        # unit pivots skip the division; every other pivot still divides
+        # exactly, so both routes must meet the Fraction reference
+        matrices = sweep_matrices()
+        assert not from_matrix(matrices[0]).is_unimodular()
+        divisors = []
+        exact_div = linalg._exact_div
+        monkeypatch.setattr(linalg, "_exact_div",
+                            lambda a, b: divisors.append(b) or exact_div(a, b))
+        for rows in matrices:
+            pivots, R = rref_int(rows)
+            ref_pivots, ref = fraction_rref(rows, len(rows[0]))
+            assert pivots == ref_pivots, rows
+            D = R[0][pivots[0]]
+            assert R == [[D * x for x in row] for row in ref], rows
+        assert divisors and all(abs(b) > 1 for b in divisors)
 
     def test_rref_int_leaves_input_unchanged(self):
         rows = [[0, 2, 4], [3, 1, 1]]

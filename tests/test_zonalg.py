@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import R10, graphic
+from conftest import R10, graphic, reference_hilbert_dims
 from zonoq import (
     GradedIdealSpec,
     GuardExceeded,
@@ -18,6 +18,7 @@ from zonoq import (
     verify_zonotopal,
 )
 from zonoq.exact import LaurentQ
+from zonoq.zonalg import _monomials
 
 
 class TestSpecs:
@@ -109,6 +110,33 @@ class TestHilbert:
             assert hf.dims[0] == 1, name
             assert hf.total == M.tutte().eval_int(2, 1), name
             assert hf.total == lattice_count(M, 1), name
+
+
+class TestColumnCoding:
+    """Monomials are columns -(exponents read in base degree_cap + 1)."""
+
+    def test_columns_ascend_in_graded_lex_order(self):
+        for d in range(1, 5):
+            for k in range(7):
+                for base in (k + 1, k + 4):
+                    cols = _monomials(d, k, base)
+                    monos = [e for e in itertools.product(range(k, -1, -1), repeat=d)
+                             if sum(e) == k]
+                    assert cols == sorted(cols)
+                    assert cols == [-sum(x * base ** (d - 1 - i) for i, x in enumerate(e))
+                                    for e in monos], (d, k, base)
+
+    def test_dims_match_tuple_indexed_reference(self, corpus):
+        checked = 0
+        for name, M in corpus.items():
+            for m in (1, 2, 3):
+                if M.d < 1 or M.n * m > 12:
+                    continue
+                thick = M.thicken(m)
+                for spec in (external_spec(thick), internal_spec(thick)):
+                    assert hilbert(spec).dims == reference_hilbert_dims(spec), (name, m)
+                    checked += 1
+        assert checked > 40
 
 
 class TestVersusTutte:
