@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import gehrhart, harmonic, zonalg, zonotope
 from .errors import GuardExceeded, NotUnimodular
-from .exact import LaurentQ, bipoly_to_json, expand, laurent_to_json, polytq_to_json
+from .exact import bipoly_to_json, expand, laurent_to_json, polytq_to_json
 from .matroid import RealizedMatroid, from_matrix, tutte_thickened
 
 THICKEN_GUARD = 16
@@ -141,10 +141,6 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
     m_max = args.m_max
     thicken = functools.cache(M.thicken)  # one build per m for both checks
 
-    @functools.cache  # called positionally, so each (m, interior) is one key
-    def graded(m: int, interior: bool) -> LaurentQ:
-        return gehrhart.graded_count(M, m, interior).value
-
     checks: list[dict] = []
     witnesses: list[str] = []
 
@@ -163,7 +159,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
                 record("lattice-vs-tutte", tag, None)
                 continue
             expected = zonotope.tutte_count(M, m, interior)
-            graded_q1 = graded(m, interior).eval_at_one()
+            graded_q1 = gehrhart.graded_count(M, m, interior).value.eval_at_one()
             ok = count == expected == graded_q1
             record("lattice-vs-tutte", tag, ok,
                    f"enumerated {count}, tutte {expected}, graded(q=1) {graded_q1}")
@@ -176,14 +172,17 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         thick = thicken(m)
         ext = zonalg.hilbert(zonalg.external_spec(thick)).as_laurent
         intr = zonalg.hilbert(zonalg.internal_spec(thick)).as_laurent
-        ok = ext == graded(m, False) and intr == graded(m, True)
+        ok = (ext == gehrhart.graded_count(M, m, False).value
+              and intr == gehrhart.graded_count(M, m, True).value)
         record("zonalg-vs-graded", tag, ok,
                f"external {ext!r}, internal {intr!r}")
 
     coeff = expand(gehrhart.series(M), m_max)
     coeff_int = expand(gehrhart.interior_series(M), m_max)
-    ok = all(coeff[m] == graded(m, False) for m in range(m_max + 1))
-    ok = ok and all(coeff_int[m] == graded(m, True) for m in range(1, m_max + 1))
+    ok = all(coeff[m] == gehrhart.graded_count(M, m, False).value
+             for m in range(m_max + 1))
+    ok = ok and all(coeff_int[m] == gehrhart.graded_count(M, m, True).value
+                    for m in range(1, m_max + 1))
     ok = ok and not coeff_int[0]
     record("series-vs-counts", f"orders 0..{m_max}", ok,
            f"series {coeff!r} interior {coeff_int!r}")

@@ -18,9 +18,10 @@ never changed after construction.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 
 def _signed_join(parts: list[str]) -> str:
@@ -194,6 +195,28 @@ class LaurentQ(_Dense):
             raise ValueError("q_int requires m >= 0")
         return cls._make(0, (1,) * m)
 
+    def times_qint(self, k: int) -> "LaurentQ":
+        """self * [k]_q, as the running sum of self - q^k self: linear time,
+        where a product with ``q_int(k)`` takes len(self) * k term pairs."""
+        if k < 0:
+            raise ValueError("times_qint requires k >= 0")
+        diff = list(self.c) + [0] * k
+        diff[k:] = map(sub, diff[k:], self.c)
+        return self._make(self.lo, list(accumulate(diff)))
+
+    def over_qint(self, k: int) -> "LaurentQ":
+        """self / [k]_q = self (1 - q) / (1 - q^k), exactly: running sums with
+        stride k of the first differences of self, whose top k entries vanish
+        iff [k]_q divides self; ``ArithmeticError`` when they do not."""
+        if k < 0:
+            raise ValueError("over_qint requires k >= 0")
+        out = list(map(sub, self.c + (0,), (0,) + self.c))
+        for r in range(k):
+            out[r::k] = accumulate(out[r::k])
+        if any(out[-k:]):
+            raise ArithmeticError(f"[{k}]_q does not divide {self!r}")
+        return self._make(self.lo, out)
+
     # -- queries and transforms ---------------------------------------------
 
     @property
@@ -242,21 +265,21 @@ def bar_q(p: LaurentQ) -> LaurentQ:
     return p.bar()
 
 
-@functools.cache
 def qbinom(m: int, k: int) -> LaurentQ:
     """The Gaussian binomial coefficient binom(m, k)_q for m >= 0.
 
     Zero whenever k < 0 or k > m; otherwise a polynomial in q with
-    non-negative coefficients, built by the q-Pascal recursion
-    binom(m,k)_q = binom(m-1,k-1)_q + q^k binom(m-1,k)_q.
+    non-negative coefficients, prod_{i<k} [m-i]_q / [k]_q!, built as
+    binom(m, i+1)_q = binom(m, i)_q [m-i]_q / [i+1]_q (each division exact).
     """
     if m < 0:
         raise ValueError("qbinom requires m >= 0")
     if k < 0 or k > m:
         return LaurentQ.zero()
-    if k == 0 or k == m:
-        return LaurentQ.one()
-    return qbinom(m - 1, k - 1) + qbinom(m - 1, k).shift(k)
+    out = LaurentQ.one()
+    for i in range(k):
+        out = out.times_qint(m - i).over_qint(i + 1)
+    return out
 
 
 class PolyTQ(_Dense):
@@ -290,12 +313,12 @@ class PolyTQ(_Dense):
         """Degree in t; -1 for the zero polynomial."""
         return self.lo + len(self.c) - 1 if self.c else -1
 
-    def eval_t(self, value: LaurentQ) -> LaurentQ:
-        """Substitute t := value (Horner's rule)."""
+    def eval_qint(self, m: int) -> LaurentQ:
+        """Substitute t := [m]_q, by Horner's rule with ``times_qint``."""
         out = LaurentQ.zero()
-        for g in reversed(self.c):
-            out = out * value + g
-        return out * value ** self.lo
+        for g in [*reversed(self.c)] + [out] * self.lo:  # lo zeros below c
+            out = out.times_qint(m) + g
+        return out
 
     def t_reverse_bar(self, top: int) -> "PolyTQ":
         """Return t^top * self(1/t, 1/q); requires top >= t-degree."""
@@ -383,6 +406,21 @@ class BiPolyXY(_Dense):
 
     def coeff(self, a: int, b: int) -> int:
         return super().coeff(a).coeff(b)
+
+    def x_coeffs(self, top: int, e: int) -> list[LaurentQ]:
+        """The coefficients of x^0, ..., x^top in self(x, q^e), in q."""
+        return [LaurentQ({e * b: c for b, c in _Dense.coeff(self, a).to_pairs()})
+                for a in range(top + 1)]
+
+    def q_eval(self, k: int, j: int, top: int, e: int) -> LaurentQ:
+        """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree: a
+        homogeneous Horner sum over the x-coefficients, ``times_qint`` only."""
+        out = LaurentQ.zero()
+        for a, g in reversed(list(enumerate(self.x_coeffs(top, e)))):
+            for _ in range(top - a):
+                g = g.times_qint(j)
+            out = out.times_qint(k) + g
+        return out
 
     def x_degree(self) -> int:
         return self.lo + len(self.c) - 1 if self.c else 0

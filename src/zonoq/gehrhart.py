@@ -8,14 +8,19 @@ with + for all lattice points and - for interior ones.  Every rational-
 function evaluation of T_M is performed by clearing denominators against its
 degree bounds, so the whole module stays inside exact Laurent arithmetic.
 
+Every factor in it is a q-integer, multiplied in linear time by one kernel,
+``LaurentQ.times_qint`` (the running sum of self - q^k self; exact inverse
+``over_qint``): graded counts, both Ehrhart forms and ``bar_eval`` are Horner
+sums on it or on shifts, with no product of two polynomials.
+
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
 the bar involution q -> 1/q, t -> -qt, and rational generating functions all
 have closed forms.  Its basis coefficients (a q-difference table of values)
 and both series numerators (Horner's rule) take subtractions and shifts only.
 
-The Ehrhart polynomial (both forms) and both series are built once per
-matroid and then shared by every caller (see ``matroid.invariant``).
+Graded counts, the Ehrhart polynomial (both forms) and both series are built
+once per matroid and shared by every caller (see ``matroid.invariant``).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class QIVP:
             raise ValueError("need exactly degree + 1 basis coefficients")
 
 
+@invariant
 def graded_count(M: RealizedMatroid, m: int, interior: bool = False) -> GradedCount:
     """q-graded count of (interior) lattice points of the dilate mZ."""
     if not M.is_unimodular():
@@ -61,42 +67,32 @@ def graded_count(M: RealizedMatroid, m: int, interior: bool = False) -> GradedCo
             raise ValueError("the interior count is undefined at m = 0")
         return GradedCount(LaurentQ.one(), 0, False)
     d, n = M.d, M.n
-    qm = LaurentQ.q_int(m)
-    qarg = LaurentQ.q_int(m - 1 if interior else m + 1)
-    x_pow = [LaurentQ.one()]
-    m_pow = [LaurentQ.one()]
-    for _ in range(d):
-        x_pow.append(x_pow[-1] * qarg)
-        m_pow.append(m_pow[-1] * qm)
-    total = LaurentQ.zero()
-    for (a, b), c in M.tutte().items():
-        total = total + (x_pow[a] * m_pow[d - a] * c).shift(-m * b)
-    return GradedCount(total.shift((n - d) * m), m, interior)
+    value = M.tutte().q_eval(m - 1 if interior else m + 1, m, d, -m)
+    return GradedCount(value.shift((n - d) * m), m, interior)
 
 
 @invariant
 def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
     """The graded Ehrhart polynomial in plain t-power form.
 
-    Built as sum_{a,b} c_ab (qt+1)^a t^(d-a) (1+(q-1)t)^(n-d-b); the degree
-    bounds of the Tutte polynomial clear both denominators.
+    sum_{a,b} c_ab (1+qt)^a t^(d-a) (1+(q-1)t)^(n-d-b) (the degree bounds of
+    T_M clear both denominators) by Horner's rule over n-d-b and over a: on
+    t-coefficient lists, 1 + qt is two shifts and 1 + (q-1)t one sum more.
     """
     if not M.is_unimodular():
         raise NotUnimodular("the graded Ehrhart polynomial requires unimodularity")
     d, n = M.d, M.n
-    qt1 = PolyTQ({1: LaurentQ.q_power(1), 0: LaurentQ.one()})
-    w = PolyTQ({0: LaurentQ.one(), 1: LaurentQ({1: 1, 0: -1})})  # 1 + (q-1)t
-    qt1_pow = [PolyTQ.one()]
-    for _ in range(d):
-        qt1_pow.append(qt1_pow[-1] * qt1)
-    w_pow = [PolyTQ.one()]
-    for _ in range(n - d):
-        w_pow.append(w_pow[-1] * w)
-    out = PolyTQ.zero()
-    for (a, b), c in M.tutte().items():
-        term = qt1_pow[a] * PolyTQ.t_power(d - a, c) * w_pow[n - d - b]
-        out = out + term
-    return out
+    zero = LaurentQ.zero()
+    T = M.tutte()
+    out = [zero] * (n + 1)
+    for b in range(n - d + 1):
+        out = [u + v.shift(1) - v for u, v in zip(out, [zero] + out)]
+        acc = [zero] * (d + 1)
+        for a in range(d, -1, -1):
+            acc = [u + v.shift(1) for u, v in zip(acc, [zero] + acc)]
+            acc[d - a] = acc[d - a] + T.coeff(a, b)
+        out[:d + 1] = [u + v for u, v in zip(out, acc)]
+    return PolyTQ(enumerate(out))
 
 
 @invariant
@@ -104,7 +100,7 @@ def ehr_poly(M: RealizedMatroid) -> QIVP:
     """The graded Ehrhart polynomial in the q-binomial basis, interpolated
     from the values of its t-power form at t = [0]_q, ..., [n]_q."""
     tp = ehr_tpower(M)
-    return _interpolate([tp.eval_t(LaurentQ.q_int(m)) for m in range(M.n + 1)])
+    return _interpolate([tp.eval_qint(m) for m in range(M.n + 1)])
 
 
 def _interpolate(values: list[LaurentQ]) -> QIVP:
@@ -134,15 +130,20 @@ def eval_qivp(P: QIVP, m: int) -> LaurentQ:
 def bar_eval(P: QIVP, m: int) -> LaurentQ:
     """Value of the bar-involuted polynomial at t = [m]_q, m >= 1.
 
-    Uses bar(qbinom(t,k)) at [m]_q = (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q,
-    staying inside Laurent arithmetic.
+    Uses bar(qbinom(t,k)) at [m]_q = (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q
+    and binom(m+k-1, k)_q = prod_{i=1}^{m-1} [k+i]_q / [m-1]_q!, with one
+    exact division of the whole sum.
     """
     if m < 1:
         raise ValueError("bar_eval requires m >= 1")
     out = LaurentQ.zero()
     for k, f in enumerate(P.basis_coeffs):
-        sign = -1 if k % 2 else 1
-        out = out + f.bar() * qbinom(m + k - 1, k).shift(k * (k + 1) // 2) * sign
+        g = f.bar().shift(k * (k + 1) // 2)
+        for i in range(1, m):
+            g = g.times_qint(k + i)
+        out = out - g if k % 2 else out + g
+    for i in range(2, m):
+        out = out.over_qint(i)
     return out
 
 

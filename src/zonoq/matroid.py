@@ -22,12 +22,13 @@ which is exact and fast at desk scale.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GuardExceeded
-from .exact import BiPolyXY
+from .exact import BiPolyXY, LaurentQ
 from .linalg import nullspace_primitive, primitive_vector, rank_int, rref_int
 
 GROUND_GUARD = 16
@@ -35,18 +36,24 @@ GROUND_GUARD = 16
 T = TypeVar("T")
 
 
-def invariant(build: Callable[["RealizedMatroid"], T]
-              ) -> Callable[["RealizedMatroid"], T]:
-    """Cache ``build(M)`` on the matroid M: built on the first call, the
-    same object returned on every later one, so callers must not mutate it.
-    """
-    key = build.__qualname__
+def invariant(build: Callable[..., T]) -> Callable[..., T]:
+    """Cache ``build(M, ...)`` on the matroid M, one entry per value of the
+    further arguments, defaults filled in: built on the first call, the same
+    object returned on every later one, so callers must not mutate it."""
+    name = build.__qualname__
+    signature = inspect.signature(build)
+    keyed = len(signature.parameters) > 1
 
     @functools.wraps(build)
-    def cached(M: "RealizedMatroid") -> T:
+    def cached(M: "RealizedMatroid", *args, **kwargs) -> T:
+        key = name
+        if keyed:
+            bound = signature.bind(M, *args, **kwargs)
+            bound.apply_defaults()
+            key = (name, *bound.args[1:])
         store = M._derived
         if key not in store:
-            store[key] = build(M)
+            store[key] = build(M, *args, **kwargs)
         return store[key]
 
     return cached
@@ -114,7 +121,7 @@ class RealizedMatroid:
     def __init__(self, realization: Realization):
         self.realization = realization
         self._rank_cache: dict[frozenset, int] = {}
-        self._derived: dict[str, object] = {}  # written by @invariant
+        self._derived: dict[object, object] = {}  # written by @invariant
 
     @property
     def d(self) -> int:
@@ -411,21 +418,16 @@ def _contract_cols(cols: tuple[tuple[int, ...], ...], j: int) -> tuple[tuple[int
 def tutte_thickened(T: BiPolyXY, d: int, m: int) -> BiPolyXY:
     """Tutte polynomial of the m-thickening, from T = T_M and the rank d.
 
-    Evaluates the thickening substitution with the denominator
-    (1 + y + ... + y^(m-1)) cleared against the x-degree bound d.
+    sum_a C_a P^a Q^(d-a), C_a = sum_b c_ab y^(mb), P = x + y [m-1]_y and
+    Q = [m]_y cleared against the x-degree bound d: a homogeneous Horner sum.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if T.x_degree() > d:
         raise ValueError("T has x-degree above the stated rank")
-    P = BiPolyXY({(1, 0): 1, **{(0, b): 1 for b in range(1, m)}})
-    Q = BiPolyXY({(0, b): 1 for b in range(m)})
-    p_pow = [BiPolyXY.one()]
-    q_pow = [BiPolyXY.one()]
-    for _ in range(d):
-        p_pow.append(p_pow[-1] * P)
-        q_pow.append(q_pow[-1] * Q)
-    out = BiPolyXY.zero()
-    for (a, b), c in T.items():
-        out = out + p_pow[a] * q_pow[d - a] * BiPolyXY.monomial(0, m * b, c)
-    return out
+    acc = [LaurentQ.zero()] * (d + 1)  # coefficients of x^0, ..., x^d
+    for a, g in reversed(list(enumerate(T.x_coeffs(d, m)))):
+        for _ in range(d - a):
+            g = g.times_qint(m)
+        acc = [u + v.times_qint(m - 1).shift(1) for u, v in zip([g] + acc[:-1], acc)]
+    return BiPolyXY._make(0, acc)

@@ -151,18 +151,7 @@ def verify_zonotopal(M: RealizedMatroid) -> bool:
     """Check both zonotopal Hilbert series against their Tutte evaluations:
     external = q^(n-d) T(1+q, 1/q) and internal = q^(n-d) T(0, 1/q)."""
     d, n = M.d, M.n
-    T = M.tutte()
-    one_q = LaurentQ({0: 1, 1: 1})
-    pow1q = [LaurentQ.one()]
-    for _ in range(d):
-        pow1q.append(pow1q[-1] * one_q)
-    ext = LaurentQ.zero()
-    intr = LaurentQ.zero()
-    for (a, b), c in T.items():
-        ext = ext + (pow1q[a] * c).shift(-b)
-        if a == 0:
-            intr = intr + LaurentQ.q_power(-b, c)
-    ext = ext.shift(n - d)
-    intr = intr.shift(n - d)
+    ext = M.tutte().q_eval(2, 1, d, -1).shift(n - d)  # 1 + q = [2]_q
+    intr = M.tutte().q_eval(0, 1, d, -1).shift(n - d)
     return (hilbert(external_spec(M)).as_laurent == ext
             and hilbert(internal_spec(M)).as_laurent == intr)

@@ -2,8 +2,10 @@
 the references that the fast kernels are tested against: Fraction
 elimination, subset-enumerated circuits, dict polynomial arithmetic, the
 bounding-box lattice scan, product-based q-binomial interpolation and series
-numerators, and tuple-indexed zonotopal elimination."""
+numerators, the product forms of the q-integer kernels, and tuple-indexed
+zonotopal elimination."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from zonoq import from_matrix, h_rep
-from zonoq.exact import LaurentQ, PolyTQ, qbinom
+from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
 from zonoq.linalg import echelon_rank, nullspace_primitive, rank_int
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
@@ -230,6 +232,63 @@ def box_scan_count(M, m, interior=False):
 # -- product-based references for the Ehrhart layer --------------------------
 
 
+@functools.cache
+def pascal_qbinom(m, k):
+    """binom(m, k)_q by the q-Pascal recursion
+    binom(m,k)_q = binom(m-1,k-1)_q + q^k binom(m-1,k)_q."""
+    if k < 0 or k > m:
+        return LaurentQ.zero()
+    if k == 0 or k == m:
+        return LaurentQ.one()
+    return pascal_qbinom(m - 1, k - 1) + pascal_qbinom(m - 1, k).shift(k)
+
+
+def product_eval_t(p, value):
+    """A PolyTQ at t := value, by Horner's rule with one product per step."""
+    out = LaurentQ.zero()
+    for g in reversed(p.c):
+        out = out * value + g
+    return out * value ** p.lo
+
+
+def product_graded_count(M, m, interior=False):
+    """q^((n-d)m) sum_ab c_ab [m+-1]_q^a [m]_q^(d-a) q^(-mb), from power
+    tables and products."""
+    d, n = M.d, M.n
+    qm = LaurentQ.q_int(m)
+    qarg = LaurentQ.q_int(m - 1 if interior else m + 1)
+    total = LaurentQ.zero()
+    for (a, b), c in M.tutte().items():
+        total = total + (qarg ** a * qm ** (d - a) * c).shift(-m * b)
+    return total.shift((n - d) * m)
+
+
+def product_ehr_tpower(M):
+    """sum_ab c_ab (qt+1)^a t^(d-a) (1+(q-1)t)^(n-d-b), from products."""
+    d, n = M.d, M.n
+    qt1 = PolyTQ({1: LaurentQ.q_power(1), 0: LaurentQ.one()})
+    w = PolyTQ({0: LaurentQ.one(), 1: LaurentQ({1: 1, 0: -1})})
+    return sum((qt1 ** a * PolyTQ.t_power(d - a, c) * w ** (n - d - b)
+                for (a, b), c in M.tutte().items()), PolyTQ.zero())
+
+
+def product_bar_eval(P, m):
+    """sum_k bar(f_k) (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q, one product per
+    basis coefficient."""
+    return sum((P.basis_coeffs[k].bar() * pascal_qbinom(m + k - 1, k)
+                * LaurentQ.q_power(k * (k + 1) // 2, (-1) ** k)
+                for k in range(P.degree + 1)), LaurentQ.zero())
+
+
+def product_tutte_thickened(T, d, m):
+    """sum_ab c_ab P^a Q^(d-a) y^(mb), P = x + y + ... + y^(m-1) and
+    Q = 1 + y + ... + y^(m-1), from power tables and products."""
+    P = BiPolyXY({(1, 0): 1, **{(0, b): 1 for b in range(1, m)}})
+    Q = BiPolyXY({(0, b): 1 for b in range(m)})
+    return sum((P ** a * Q ** (d - a) * BiPolyXY.monomial(0, m * b, c)
+                for (a, b), c in T.items()), BiPolyXY.zero())
+
+
 def triangular_interpolation(values):
     """q-binomial basis coefficients f_0..f_D of the QIVP taking values[m] at
     [m]_q, through the unit-diagonal triangular matrix binom(m, k)_q:
@@ -237,7 +296,7 @@ def triangular_interpolation(values):
     coeffs = []
     for m, f in enumerate(values):
         for k in range(m):
-            f = f - coeffs[k] * qbinom(m, k)
+            f = f - coeffs[k] * pascal_qbinom(m, k)
         coeffs.append(f)
     return tuple(coeffs)
 

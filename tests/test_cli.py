@@ -1,11 +1,12 @@
 """Command-line interface: formats, round-trips, exit codes."""
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from conftest import DIAMOND, R10, graphic
+from conftest import CORPUS_MATRICES, DIAMOND, R10, graphic
 from zonoq.cli import run
 from zonoq.exact import laurent_from_json, polytq_from_json
 from zonoq import graded_count, series
@@ -202,3 +203,24 @@ class TestInputErrors:
         path.write_text(json.dumps({"matrix": [[1.5, 0.0], [0.0, 1.0]]}))
         assert run(["tutte", str(path)]) == 2
         assert "integer" in capsys.readouterr().err
+
+
+class TestByteIdentity:
+    """The closed-formula commands print exactly what they printed before the
+    q-integer kernel rewrite: one SHA-256 over the concatenated stdout of
+    every command on the test corpus and R10."""
+
+    ARGVS = ([["qcount", "--m", str(m)] + flag for m in (1, 2, 3)
+              for flag in ([], ["--interior"])]
+             + [["ehrpoly"], ["series"], ["series", "--interior"]])
+    DIGEST = "fbbb1d526cbbb9895a4243a7a2193ae7fb1d52cf8c873f2154d82df009bf4b93"
+
+    def test_stdout_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        for name, matrix in [*CORPUS_MATRICES.items(), ("R10", R10)]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "matrix": matrix}))
+            for argv in self.ARGVS:
+                assert run([argv[0], str(path), *argv[1:]]) == 0, (name, argv)
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.DIGEST

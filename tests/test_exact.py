@@ -12,6 +12,7 @@ from conftest import (
     dict_pow,
     dict_shift,
     dict_t_reverse_bar,
+    pascal_qbinom,
 )
 from zonoq.exact import (
     BiPolyXY,
@@ -96,6 +97,62 @@ class TestQbinom:
                 p = qbinom(m, k)
                 assert p.is_polynomial()
                 assert all(c > 0 for c in p.terms.values())
+
+    def test_matches_q_pascal(self):
+        for m in range(15):
+            for k in range(-1, m + 2):
+                assert qbinom(m, k) == pascal_qbinom(m, k), (m, k)
+
+
+class TestQintKernel:
+    """times_qint and over_qint against the schoolbook product by q_int(k)."""
+
+    @staticmethod
+    def values(rng):
+        yield LaurentQ.zero()
+        yield LaurentQ.one()
+        for _ in range(200):
+            length = rng.choice((1, 2, 5, 12, 40, 57))
+            lo = rng.randint(-30, 10)
+            yield LaurentQ({lo + i: rng.randint(-4, 4) for i in range(length)})
+
+    def test_times_qint_is_the_product(self):
+        rng = random.Random(53)
+        long_values = 0
+        for p in self.values(rng):
+            long_values += len(p.c) >= 40
+            for k in (0, 1, rng.randint(2, 6), rng.randint(7, 60)):
+                assert p.times_qint(k) == p * LaurentQ.q_int(k), (p, k)
+        assert long_values > 20
+
+    def test_over_qint_inverts_times_qint(self):
+        rng = random.Random(59)
+        for p in self.values(rng):
+            for k in (1, rng.randint(2, 6), rng.randint(7, 60)):
+                assert (p * LaurentQ.q_int(k)).over_qint(k) == p, (p, k)
+        assert LaurentQ.zero().over_qint(0) == LaurentQ.zero()
+
+    def test_over_qint_raises_on_non_multiples(self):
+        rng = random.Random(61)
+        for p in self.values(rng):
+            if not p:
+                continue
+            for k in (2, rng.randint(3, 6), rng.randint(7, 60)):
+                # p [k]_q + q^e is a multiple of [k]_q iff q^e is, and
+                # [k]_q (k >= 2) divides no monomial
+                e = rng.randint(-40, 80)
+                with pytest.raises(ArithmeticError):
+                    (p * LaurentQ.q_int(k) + LaurentQ.q_power(e)).over_qint(k)
+        with pytest.raises(ArithmeticError):
+            LaurentQ({0: 1, 1: 1}).over_qint(3)
+        with pytest.raises(ArithmeticError):
+            LaurentQ.one().over_qint(0)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            LaurentQ.one().times_qint(-1)
+        with pytest.raises(ValueError):
+            LaurentQ.one().over_qint(-1)
 
 
 class TestExpand:
@@ -341,8 +398,9 @@ class TestDenseCoreAgainstDicts:
             elif kind == "polytq":
                 top = max(a.t_degree(), 0) + rng.randint(0, 2)
                 assert_matches(kind, a.t_reverse_bar(top), dict_t_reverse_bar(p, top))
-                v = rand_map(rng, "laurent")
-                assert_matches("laurent", a.eval_t(LaurentQ(v)), dict_eval_t(p, v))
+                m = rng.randint(0, 6)
+                assert_matches("laurent", a.eval_qint(m),
+                               dict_eval_t(p, LaurentQ.q_int(m).terms))
                 assert polytq_from_json(polytq_to_json(a)) == a
                 assert polytq_to_json(a) == [[k, e, str(c)] for (k, e), c in sorted(p.items())]
             else:

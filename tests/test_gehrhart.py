@@ -10,6 +10,10 @@ from conftest import (
     DIAMOND,
     R10,
     graphic,
+    product_bar_eval,
+    product_ehr_tpower,
+    product_eval_t,
+    product_graded_count,
     tails_bar_series_numerator,
     tails_series_numerator,
     triangular_interpolation,
@@ -272,7 +276,7 @@ class TestAgainstProductReferences:
     def test_ehr_poly_is_triangular_interpolation(self, matroids):
         for name, M in matroids.items():
             tp = ehr_tpower(M)
-            values = [tp.eval_t(LaurentQ.q_int(m)) for m in range(M.n + 1)]
+            values = [product_eval_t(tp, LaurentQ.q_int(m)) for m in range(M.n + 1)]
             assert ehr_poly(M).basis_coeffs == triangular_interpolation(values), name
 
     def test_series_numerators_match_tails(self, matroids):
@@ -299,6 +303,54 @@ class TestAgainstProductReferences:
         assert zero_coeffs > 10 and negative_exponents > 10
 
 
+class TestAgainstQintProductReferences:
+    """The q-integer kernel forms against the power-table and product forms
+    they replaced."""
+
+    @pytest.fixture(scope="class")
+    def matroids(self, corpus):
+        return {**corpus, "R10": from_matrix(R10)}
+
+    def test_graded_count(self, matroids):
+        for name, M in matroids.items():
+            for m in range(1, 5):
+                for interior in (False, True):
+                    assert graded_count(M, m, interior).value == \
+                        product_graded_count(M, m, interior), (name, m, interior)
+
+    def test_ehr_tpower(self, matroids):
+        for name, M in matroids.items():
+            assert ehr_tpower(M) == product_ehr_tpower(M), name
+
+    def test_ehr_poly_values(self, matroids):
+        for name, M in matroids.items():
+            tp, P = ehr_tpower(M), ehr_poly(M)
+            for m in range(M.n + 3):
+                value = product_eval_t(tp, LaurentQ.q_int(m))
+                assert tp.eval_qint(m) == value, (name, m)
+                assert eval_qivp(P, m) == value, (name, m)
+
+    def test_bar_eval(self, matroids):
+        for name, M in matroids.items():
+            P = ehr_poly(M)
+            for m in range(1, 6):
+                assert bar_eval(P, m) == product_bar_eval(P, m), (name, m)
+
+    def test_bar_eval_random_qivps(self):
+        rng = random.Random(67)
+        zero_coeffs = negative_exponents = 0
+        for degree in range(11):
+            for _ in range(4):
+                coeffs = tuple(LaurentQ.zero() if rng.random() < 0.25
+                               else rand_laurent(rng) for _ in range(degree + 1))
+                zero_coeffs += sum(1 for f in coeffs if not f)
+                negative_exponents += sum(1 for f in coeffs if not f.is_polynomial())
+                P = QIVP(coeffs, degree)
+                for m in range(1, 6):
+                    assert bar_eval(P, m) == product_bar_eval(P, m), (P, m)
+        assert zero_coeffs > 10 and negative_exponents > 10
+
+
 class TestCachedPerMatroid:
     def test_second_call_returns_the_same_object(self, corpus):
         for M in corpus.values():
@@ -310,6 +362,16 @@ class TestCachedPerMatroid:
             fresh = from_matrix(CORPUS_MATRICES[name])
             for build in (ehr_tpower, ehr_poly, series, interior_series):
                 assert build(M) == build(fresh), name
+
+    def test_graded_count_keyed_on_m_and_interior(self, corpus):
+        for M in corpus.values():
+            for m in (1, 2):
+                closed = graded_count(M, m)
+                assert graded_count(M, m, False) is closed
+                assert graded_count(M, m, interior=False) is closed
+                inner = graded_count(M, m, interior=True)
+                assert graded_count(M, m, True) is inner
+                assert inner.interior and not closed.interior
 
     def test_reciprocity_after_cached_reads(self):
         for mat in CORPUS_MATRICES.values():

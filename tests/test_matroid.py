@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from conftest import (DIAMOND, R10, fraction_kernel, reference_circuits,
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, fraction_kernel,
+                      product_tutte_thickened, reference_circuits,
                       reference_components, sweep_matrices)
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
@@ -349,6 +350,13 @@ class TestTutteThickened:
                 continue
             assert M.thicken(m).tutte() == \
                 tutte_thickened(M.tutte(), M.d, m), (name, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_product_form(self, m):
+        for name, A in [*CORPUS_MATRICES.items(), ("R10", R10)]:
+            M = from_matrix(A)
+            assert tutte_thickened(M.tutte(), M.d, m) == \
+                product_tutte_thickened(M.tutte(), M.d, m), (name, m)
 
 
 class TestComponents:
