@@ -212,6 +212,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
     return 1 if witnesses else 0
 
 
+@functools.cache  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zonoq",

@@ -22,7 +22,6 @@ which is exact and fast at desk scale.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -34,23 +33,27 @@ from .linalg import nullspace_primitive, primitive_vector, rank_int, rref_int
 GROUND_GUARD = 16
 
 T = TypeVar("T")
+_MISSING = object()  # keys a left-out argument: no build stores it
 
 
 def invariant(build: Callable[..., T]) -> Callable[..., T]:
     """Cache ``build(M, ...)`` on the matroid M, one entry per value of the
     further arguments, defaults filled in: built on the first call, the same
-    object returned on every later one, so callers must not mutate it."""
+    object returned on every later one, so callers must not mutate it.
+    Positional and keyword calls share an entry; the parameter names and
+    defaults are read once, here."""
     name = build.__qualname__
-    signature = inspect.signature(build)
-    keyed = len(signature.parameters) > 1
+    params = build.__code__.co_varnames[1:build.__code__.co_argcount]
+    defaults = dict(zip(params[::-1], (build.__defaults__ or ())[::-1]))
 
     @functools.wraps(build)
     def cached(M: "RealizedMatroid", *args, **kwargs) -> T:
         key = name
-        if keyed:
-            bound = signature.bind(M, *args, **kwargs)
-            bound.apply_defaults()
-            key = (name, *bound.args[1:])
+        if params or args or kwargs:
+            rest = params[len(args):]
+            if kwargs.keys() - rest:  # unknown or repeated: build raises
+                return build(M, *args, **kwargs)
+            key = (name, *args, *[kwargs.get(p, defaults.get(p, _MISSING)) for p in rest])
         store = M._derived
         if key not in store:
             store[key] = build(M, *args, **kwargs)

@@ -2,26 +2,28 @@
 
 The external (resp. internal) zonotopal algebra is the quotient of the
 polynomial ring on d variables by the powers v^(m(v)+1) (resp. v^(m(v)-1))
-of the cocircuit linear forms.  Graded dimensions are computed degree by
-degree as (number of monomials) - rank(span of monomial multiples of the
-generators), with exact integer elimination.  This is the independent
-algebraic oracle against the Tutte-evaluation formulas.
+of the cocircuit linear forms: the independent algebraic oracle against the
+Tutte-evaluation formulas.
 
-The generators are expanded sparsest first: by the number of nonzero
-coefficients of the linear form, then by exponent, ties in spec order.
-Coordinate-like forms give near-monomial pivot rows, which keep the echelon
-basis sparse while the denser forms are reduced against it; the rank, and
-so every dimension, does not depend on the order.
+The elimination runs in coordinates where d generators are pure powers: d
+independent forms become the variables y_1..y_d, and the quotient is that of
+the box algebra Q[y]/(y_1^(e_1), ..., y_d^(e_d)) by the other generators,
+each rewritten in y.  A linear change of coordinates keeps the graded
+dimensions, so dims[k] is the number of box monomials of degree k (every
+exponent a_i < e_i) minus the exact integer rank of the box monomial
+multiples of the other generators, each term outside the box dropped.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import accumulate
 from dataclasses import dataclass
 from math import comb
 
 from .errors import GuardExceeded
 from .exact import LaurentQ
-from .linalg import echelon_rank
+from .linalg import echelon_rank, primitive_vector, rref_int
 from .matroid import RealizedMatroid
 
 MONOMIAL_GUARD = 50_000
@@ -69,31 +71,45 @@ def _spec(M: RealizedMatroid, shift: int) -> GradedIdealSpec:
     return GradedIdealSpec(M.d, gens, M.n + 1)
 
 
-def _monomials(d: int, k: int, base: int) -> list[int]:
-    """Columns of the degree-k monomials in d variables, ascending.
+def _monomials(bounds: list[int], k: int, base: int) -> list[int]:
+    """Columns of the degree-k box monomials y^a (0 <= a_i < bounds[i]),
+    ascending.
 
-    x^e has column -(e read in base ``base`` > k, x_1 most significant):
+    y^a has column -(a read in base ``base`` > k, y_1 most significant):
     ascending columns run in graded-lex order, and the column of a product
     of monomials is the sum of their columns.
     """
-    if d == 0:
-        return [0] if k == 0 else []
-    out = []
+    d = len(bounds)
+    # room[i]: the largest degree of a box monomial in y_(i+1), ..., y_d
+    room = list(accumulate(reversed(bounds), lambda r, b: r + b - 1, initial=0))[::-1]
+    prefixes = [(0, k)] if k <= room[0] else []  # (column so far, degree left)
+    for i, b in enumerate(bounds):
+        weight = base ** (d - 1 - i)
+        prefixes = [(col - e * weight, rest - e) for col, rest in prefixes
+                    for e in range(min(rest, b - 1), max(0, rest - room[i + 1]) - 1, -1)]
+    return [col for col, _ in prefixes]
 
-    def rec(col: int, rest: int, pos: int):
-        if pos == d - 1:
-            out.append(col - rest)
-            return
-        weight = base ** (d - 1 - pos)
-        for e in range(rest, -1, -1):
-            rec(col - e * weight, rest - e, pos + 1)
 
-    rec(0, k, 0)
-    return out
+def _box_coordinates(d: int, generators) -> tuple[list[int], list] | None:
+    """(e_1..e_d of the pure powers y_i^(e_i), the other generators as
+    (primitive form in y, exponent), sparsest first), or None if the forms
+    do not span Q^d.  One ``rref_int`` of the forms as columns, smallest
+    exponent first, then sparsest, picks the pivot forms C; its column j is
+    D * C^-1 * c_j, the form c_j in the coordinates y = C^T x.
+    """
+    order = sorted(generators, key=lambda g: (g[1], sum(1 for x in g[0] if x)))
+    pivots, R = rref_int([[c[i] for c, _ in order] for i in range(d)])
+    if len(pivots) < d:
+        return None
+    chosen = set(pivots)
+    others = [(primitive_vector([row[j] for row in R]), e)
+              for j, (_, e) in enumerate(order) if j not in chosen]
+    others.sort(key=lambda g: (sum(1 for x in g[0] if x), g[1]))
+    return [order[j][1] for j in pivots], others
 
 
 def _form_power(c: tuple[int, ...], e: int, base: int) -> dict[int, int]:
-    """Expand (sum c_i x_i)^e as monomial column -> coefficient."""
+    """Expand (sum c_i y_i)^e as monomial column -> coefficient."""
     d = len(c)
     poly = {0: 1}
     lin = {-base ** (d - 1 - i): ci for i, ci in enumerate(c) if ci}
@@ -107,37 +123,41 @@ def _form_power(c: tuple[int, ...], e: int, base: int) -> dict[int, int]:
 
 
 def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
-    """Graded dimensions of the quotient by the spanned ideal.
+    """Graded dimensions of the quotient by the spanned ideal, in the
+    coordinates of ``_box_coordinates``.
 
-    dims[k] = C(d+k-1, k) - rank{monomial * generator in degree k}; the
-    computation stops at the first zero dimension (the ideal then contains
-    every higher degree) and must terminate by degree_cap.  Monomial
-    columns are read in base degree_cap + 1, so a product is one addition.
+    The computation stops at the first zero dimension and must terminate by
+    degree_cap; forms that do not span Q^d leave no zero dimension.  Degree
+    k is held to C(d+k-1, k) <= MONOMIAL_GUARD monomials in all.
     """
     d = spec.variables
     if any(e == 0 for _, e in spec.generators):
         return HilbertFunction((), LaurentQ.zero())
     base = spec.degree_cap + 1
-    sparsest_first = sorted(spec.generators,
-                            key=lambda g: (sum(1 for x in g[0] if x), g[1]))
-    expanded = [(_form_power(c, e, base), e) for c, e in sparsest_first]
+    coords = _box_coordinates(d, spec.generators)
+    if coords is not None:
+        bounds, others = coords
+        # ordered as _monomials, with O(1) membership
+        box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
+        expanded = [(_form_power(c, e, base), e) for c, e in others]
     dims: list[int] = []
     for k in range(spec.degree_cap + 1):
-        ncols = comb(d + k - 1, k) if k else 1
-        if ncols > MONOMIAL_GUARD:
+        nmono = comb(d + k - 1, k) if k else 1
+        if nmono > MONOMIAL_GUARD:
             raise GuardExceeded(
-                f"degree {k} has {ncols} monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
-        shifts = {s: _monomials(d, s, base) for s in {k - e for _, e in expanded if e <= k}}
+                f"degree {k} has {nmono} monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
+        if coords is None:
+            continue
+        cols = box(k)
 
         def rows():
             for poly, e in expanded:
                 if e > k:
                     continue
-                for shift in shifts[k - e]:
-                    yield {col + shift: co for col, co in poly.items()}
+                for shift in box(k - e):
+                    yield {col: co for c, co in poly.items() if (col := c + shift) in cols}
 
-        rank = echelon_rank(rows(), stop_at=ncols)
-        dim = ncols - rank
+        dim = len(cols) - echelon_rank(rows(), stop_at=len(cols))
         if dim == 0:
             break
         dims.append(dim)

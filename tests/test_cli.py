@@ -3,10 +3,14 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import CORPUS_MATRICES, DIAMOND, R10, graphic
+import zonoq
 from zonoq.cli import run
 from zonoq.exact import laurent_from_json, polytq_from_json
 from zonoq import graded_count, series
@@ -224,3 +228,30 @@ class TestByteIdentity:
                 assert run([argv[0], str(path), *argv[1:]]) == 0, (name, argv)
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestParserReuse:
+    """The parser is built once per process; a sequence of in-process runs,
+    errors among them, prints what a fresh process prints for each."""
+
+    def test_runs_match_fresh_processes(self, hexagon_file, capsys):
+        argvs = [["tutte", hexagon_file],
+                 ["qcount", hexagon_file, "--m", "2"],
+                 ["frobnicate", hexagon_file],
+                 ["qcount", hexagon_file, "--m", "two"],
+                 ["verify", hexagon_file, "--m-max", "1"],
+                 ["verify", hexagon_file, "--m-max", "0"],
+                 ["series", hexagon_file, "--interior"],
+                 ["qcount", hexagon_file]]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(zonoq.__file__)))
+        codes = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "zonoq.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 2, 0, 2, 0, 0]

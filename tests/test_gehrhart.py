@@ -373,6 +373,18 @@ class TestCachedPerMatroid:
                 assert graded_count(M, m, True) is inner
                 assert inner.interior and not closed.interior
 
+    def test_bad_calls_raise_with_a_warm_cache(self, hexagon):
+        closed = graded_count(hexagon, 1)
+        assert graded_count(hexagon, m=1) is closed
+        assert graded_count(hexagon, interior=False, m=1) is closed
+        for args, kwargs in [((1,), {"interir": True}), ((1,), {"m": 1}), ((), {}),
+                             ((1, False, 0), {})]:
+            with pytest.raises(TypeError):
+                graded_count(hexagon, *args, **kwargs)
+        hexagon.tutte()
+        with pytest.raises(TypeError):
+            hexagon.tutte(1)
+
     def test_reciprocity_after_cached_reads(self):
         for mat in CORPUS_MATRICES.values():
             M = from_matrix(mat)

@@ -19,6 +19,7 @@ from zonoq import (
 )
 from zonoq import harmonic
 from zonoq.exact import LaurentQ, PolyTQ
+from zonoq.linalg import echelon_rank
 from zonoq.harmonic import (
     BOOLEAN,
     CIRCUIT_COMPONENTS,
@@ -78,6 +79,24 @@ class TestDegree1Dim:
             [[1 if i == j else 0 for j in range(8)] for i in range(8)])
         for name, M in matroids.items():
             assert degree1_dim(M) == M.tutte().eval_int(2, 1), name
+
+    def test_eliminates_the_linear_generators(self, corpus, monkeypatch):
+        seen = []
+
+        def recording_rank(rows, stop_at=None):
+            rows = list(rows)
+            seen.append(rows)
+            return echelon_rank(rows, stop_at=stop_at)
+
+        monkeypatch.setattr(harmonic, "echelon_rank", recording_rank)
+        for name, M in corpus.items():
+            degree1_dim(M)
+            assert seen.pop() == [dict(g.terms) for g in segre_generators(M).linear], name
+
+    def test_variable_guard_names_value(self):
+        with pytest.raises(GuardExceeded,
+                           match=r"^15 ground-set elements > VARIABLE_GUARD=14$"):
+            degree1_dim(from_matrix([[1] * 15]))
 
 
 class TestGradedHilbert:

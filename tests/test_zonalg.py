@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import R10, graphic, reference_hilbert_dims
+from conftest import R10, graphic, reference_hilbert_dims, sweep_matrices
 from zonoq import (
     GradedIdealSpec,
     GuardExceeded,
@@ -18,7 +18,7 @@ from zonoq import (
     verify_zonotopal,
 )
 from zonoq.exact import LaurentQ
-from zonoq.zonalg import _monomials
+from zonoq.zonalg import _box_coordinates, _monomials
 
 
 class TestSpecs:
@@ -113,18 +113,19 @@ class TestHilbert:
 
 
 class TestColumnCoding:
-    """Monomials are columns -(exponents read in base degree_cap + 1)."""
+    """Box monomials y^a (a_i < bounds[i]) are columns -(exponents read in
+    base degree_cap + 1)."""
 
     def test_columns_ascend_in_graded_lex_order(self):
-        for d in range(1, 5):
-            for k in range(7):
-                for base in (k + 1, k + 4):
-                    cols = _monomials(d, k, base)
+        for d in range(0, 5):
+            for bounds in itertools.product((1, 2, 3, 7), repeat=d):
+                for k, base in ((k, b) for k in range(7) for b in (k + 1, k + 4)):
+                    cols = _monomials(list(bounds), k, base)
                     monos = [e for e in itertools.product(range(k, -1, -1), repeat=d)
-                             if sum(e) == k]
+                             if sum(e) == k and all(x < b for x, b in zip(e, bounds))]
                     assert cols == sorted(cols)
                     assert cols == [-sum(x * base ** (d - 1 - i) for i, x in enumerate(e))
-                                    for e in monos], (d, k, base)
+                                    for e in monos], (bounds, k, base)
 
     def test_dims_match_tuple_indexed_reference(self, corpus):
         checked = 0
@@ -137,6 +138,57 @@ class TestColumnCoding:
                     assert hilbert(spec).dims == reference_hilbert_dims(spec), (name, m)
                     checked += 1
         assert checked > 40
+
+
+class TestBoxCoordinates:
+    """d independent generators become pure powers y_i^(e_i); the others are
+    rewritten in y and cut to the box."""
+
+    def test_dependent_forms_are_passed_over(self):
+        # (2, 2, 0) is parallel to (1, 1, 0), which comes first; in
+        # y = (x1 + x2, x2, x3) the form (1, 0, 1) is y1 - y2 + y3
+        gens = (((1, 1, 0), 2), ((0, 1, 0), 3), ((2, 2, 0), 2),
+                ((1, 0, 1), 4), ((0, 0, 1), 3))
+        assert _box_coordinates(3, gens) == (
+            [2, 3, 3], [((1, 0, 0), 2), ((1, -1, 1), 4)])
+        spec = GradedIdealSpec(3, gens, 8)
+        assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 5, 5, 2)
+
+    def test_terms_outside_the_box_are_dropped(self):
+        # Q[x, y, z] / (x^3, y^3, z^3, (x - y)^3): modulo the cubes, both
+        # xz (x - y)^3 and yz (x - y)^3 are +-3 x^2 y^2 z, so degree 5 keeps
+        # one dimension; rows that kept x^3 yz and x y^3 z would lose it
+        spec = GradedIdealSpec(3, (((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
+                                   ((1, -1, 0), 3)), 9)
+        assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 6, 6, 4, 1)
+
+    @pytest.mark.parametrize("spec", [
+        GradedIdealSpec(2, (((1, 1), 2), ((-2, -2), 3)), 6),
+        GradedIdealSpec(3, (((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 1)), 9),
+        GradedIdealSpec(2, (), 4),
+    ])
+    def test_forms_that_do_not_span_never_vanish(self, spec):
+        with pytest.raises(ArithmeticError,
+                           match=r"^quotient did not vanish by degree_cap$"):
+            hilbert(spec)
+
+    def test_sweep_subset_scaled_and_shuffled(self):
+        # unimodular and not, each form times a non-unit, generators shuffled
+        rng = random.Random(31)
+        checked, unimodular = 0, set()
+        for A in rng.sample(sweep_matrices(), 60):
+            M = from_matrix(A)
+            for m in range(1, 8 // M.n + 1):
+                thick = M.thicken(m)
+                for spec in (external_spec(thick), internal_spec(thick)):
+                    gens = [(tuple(s * x for x in c), e) for (c, e), s in zip(
+                        spec.generators, rng.choices((-3, -2, 2, 3), k=len(spec.generators)))]
+                    rng.shuffle(gens)
+                    spec = GradedIdealSpec(spec.variables, tuple(gens), spec.degree_cap)
+                    assert hilbert(spec).dims == reference_hilbert_dims(spec), (A, m)
+                    checked += 1
+                    unimodular.add(M.is_unimodular())
+        assert checked > 150 and unimodular == {True, False}
 
 
 class TestVersusTutte:
