@@ -51,13 +51,13 @@ class GorensteinVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def _linear_forms(M: RealizedMatroid):
-    """(circuit, A, terms) of each linear generator, circuit by circuit and
-    A by size, then lexicographically."""
+def segre_generators(M: RealizedMatroid) -> SegreGenerators:
+    """All linear generators, one per (circuit, disjoint subset) pair."""
     n = M.n
     if n > VARIABLE_GUARD:
         raise GuardExceeded(
             f"{n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
+    linear = []
     for circ in M.circuits:
         outside = [j for j in range(n) if j not in circ.support]
         for r in range(len(outside) + 1):
@@ -65,20 +65,18 @@ def _linear_forms(M: RealizedMatroid):
                 a_mask = 0
                 for j in a_set:
                     a_mask |= 1 << j
-                yield circ.support, a_set, tuple(
-                    (a_mask | (1 << i), co) for i, co in zip(circ.support, circ.alpha))
-
-
-def segre_generators(M: RealizedMatroid) -> SegreGenerators:
-    """All linear generators, one per (circuit, disjoint subset) pair."""
-    return SegreGenerators(M.n, tuple(SegreLinearForm(*f) for f in _linear_forms(M)))
+                terms = tuple((a_mask | (1 << i), co)
+                              for i, co in zip(circ.support, circ.alpha))
+                linear.append(SegreLinearForm(circ.support, a_set, terms))
+    return SegreGenerators(n, tuple(linear))
 
 
 def degree1_dim(M: RealizedMatroid) -> int:
     """Dimension of the degree-1 part of the quotient: 2^n minus the rank
     of the linear generators.  Equals T_M(2, 1)."""
+    gens = segre_generators(M)
     nvars = 1 << M.n
-    rows = (dict(terms) for _, _, terms in _linear_forms(M))
+    rows = (dict(g.terms) for g in gens.linear)
     return nvars - echelon_rank(rows, stop_at=nvars)
 
 
