@@ -10,8 +10,8 @@ Input document:
 
     {"name": "hexagon", "d": 2, "n": 3, "matrix": [[1, 0, 1], [0, 1, 1]]}
 
-``name``, ``d`` and ``n`` are optional; entries may be integers or decimal
-strings (arbitrary precision).
+``name`` (a string), ``d`` and ``n`` (integers) are optional; entries may be
+integers or decimal strings (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def load_matroid(path: str) -> tuple[RealizedMatroid, str]:
         raise InputError(f"declared d={doc['d']} but matrix has {d} rows")
     if "n" in doc and doc["n"] != n:
         raise InputError(f"declared n={doc['n']} but matrix has {n} columns")
+    if "name" in doc and not isinstance(doc["name"], str):
+        raise InputError(f"'name' must be a string, got {doc['name']!r}")
     try:
         M = from_matrix(entries)
     except (ValueError, GuardExceeded) as exc:

@@ -5,24 +5,30 @@ with bidegree (1, |S|).  Its defining ideal is generated by the implicit
 binomial family z_S z_T - z_(S|T) z_(S&T) together with one linear form per
 (circuit C, subset A disjoint from C):  sum_{i in C} alpha_i z_(A|{i}).
 
-Subsets are bitmasks; the binomial family is never enumerated globally, only
-the degree slices that a given computation touches.
+The binomials generate the Hibi ideal of the Boolean lattice, whose quotient
+is the Segre ring of (P^1)^n (Hibi 1987): modulo them a degree-m monomial
+z_(T_1)...z_(T_m) is its count vector b_j = #{i : j in T_i}, a point of the
+box {0..m}^n of q-degree |b|.  So the degree-m slice of the ideal is spanned
+by one row sum_{i in C} alpha_i e_(b+e_i) per circuit C and box point b with
+b_i <= m-1 on C; columns are box points read in base m+1 (at m = 1, subset
+bitmasks), eliminated one q-block |b| at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
+from typing import Iterator
 
 from . import gehrhart
 from .errors import GuardExceeded
 from .exact import LaurentQ, PolyTQ
 from .linalg import echelon_rank
-from .matroid import RealizedMatroid
+from .matroid import CircuitRep, RealizedMatroid
 
 VARIABLE_GUARD = 14          # at most 2^14 z-variables
-DEGREE_GUARD = 100_000       # monomial count per degree
+COLUMN_GUARD = 16_384        # box columns (m+1)^n of one degree
 FACTORIAL_GUARD = 8
 
 BOOLEAN = "boolean"
@@ -40,104 +46,96 @@ class SegreLinearForm:
 
 
 @dataclass(frozen=True)
-class SegreGenerators:
-    n: int
-    linear: tuple[SegreLinearForm, ...]
-
-
-@dataclass(frozen=True)
 class GorensteinVerdict:
     verdict: str
     witness: tuple[int, ...] | None = None
 
 
+def _chains(pool: tuple[int, ...], levels: tuple[frozenset[int], ...],
+            s: int) -> Iterator[int]:
+    """Each box point b with |b| = s as the place values summed over its
+    level sets S_t = {j : b_j >= t}, S_t drawn from S_(t-1) within
+    ``levels[t-1]`` and S_0 = ``pool``: with one level, one combinations walk."""
+    allowed, rest = levels[0], levels[1:]
+    pool = tuple(w for w in pool if w in allowed)
+    if not rest:
+        for S in itertools.combinations(pool, s):
+            yield sum(S)
+        return
+    for a in range(-(-s // len(levels)), min(s, len(pool)) + 1):
+        for S in itertools.combinations(pool, a):
+            head = sum(S)
+            for tail in _chains(S, rest, s - a):
+                yield head + tail
+
+
+@dataclass(frozen=True)
+class SegreGenerators:
+    """The linear generators, one per (circuit, disjoint subset) pair."""
+
+    n: int
+    circuits: tuple[CircuitRep, ...]
+
+    @functools.cached_property
+    def linear(self) -> tuple[SegreLinearForm, ...]:
+        """The generators spelled out, by circuit and then by subset size."""
+        linear = []
+        for circ in self.circuits:
+            outside = [j for j in range(self.n) if j not in circ.support]
+            for r in range(len(outside) + 1):
+                for a_set in itertools.combinations(outside, r):
+                    a_mask = sum(1 << j for j in a_set)
+                    terms = tuple((a_mask | (1 << i), co)
+                                  for i, co in zip(circ.support, circ.alpha))
+                    linear.append(SegreLinearForm(circ.support, a_set, terms))
+        return tuple(linear)
+
+    def rows(self, m: int, k: int) -> Iterator[dict[int, int]]:
+        """The q-block k of the degree-m ideal: per circuit C, the rows
+        sum_{i in C} alpha_i e_(b+e_i) over box points b with b_i <= m-1 on C
+        and |b| = k-1.  At m = 1, the generators with |A| = k-1."""
+        if k < 1:
+            return
+        base = m + 1
+        place = tuple(base ** j for j in reversed(range(self.n)))
+        for circ in self.circuits:
+            terms = [(base ** i, co) for i, co in zip(circ.support, circ.alpha)]
+            free = frozenset(place).difference(w for w, _ in terms)
+            levels = (frozenset(place),) * (m - 1) + (free,)
+            for b in _chains(place, levels, k - 1):
+                yield {b + w: co for w, co in terms}
+
+
 def segre_generators(M: RealizedMatroid) -> SegreGenerators:
     """All linear generators, one per (circuit, disjoint subset) pair."""
-    n = M.n
-    if n > VARIABLE_GUARD:
+    if M.n > VARIABLE_GUARD:
         raise GuardExceeded(
-            f"{n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
-    linear = []
-    for circ in M.circuits:
-        outside = [j for j in range(n) if j not in circ.support]
-        for r in range(len(outside) + 1):
-            for a_set in itertools.combinations(outside, r):
-                a_mask = 0
-                for j in a_set:
-                    a_mask |= 1 << j
-                terms = tuple((a_mask | (1 << i), co)
-                              for i, co in zip(circ.support, circ.alpha))
-                linear.append(SegreLinearForm(circ.support, a_set, terms))
-    return SegreGenerators(n, tuple(linear))
+            f"{M.n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
+    return SegreGenerators(M.n, M.circuits)
 
 
 def degree1_dim(M: RealizedMatroid) -> int:
     """Dimension of the degree-1 part of the quotient: 2^n minus the rank
     of the linear generators.  Equals T_M(2, 1)."""
-    gens = segre_generators(M)
-    nvars = 1 << M.n
-    rows = (dict(g.terms) for g in gens.linear)
-    return nvars - echelon_rank(rows, stop_at=nvars)
-
-
-def _qdeg(monomial: tuple[int, ...]) -> int:
-    return sum(mask.bit_count() for mask in monomial)
+    return graded_hilbert(M, 1).eval_at_one()
 
 
 def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
-    """q-graded dimensions of the degree-m slice of the quotient algebra.
-
-    The degree-m part of the ideal is spanned by monomial multiples of the
-    linear generators (degree m-1 cofactors) and of the binomials (degree
-    m-2 cofactors); both families are q-homogeneous, so ranks are computed
-    per q-degree block.
-    """
+    """q-graded dimensions of the degree-m slice of the quotient algebra:
+    per q-block k, the box points of weight k (the coefficients of
+    [m+1]_q^n) less the rank of the rows ``SegreGenerators.rows(m, k)``."""
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
         return LaurentQ.one()
-    n = M.n
-    nvars = 1 << n
-    nmono = comb(nvars + m - 1, m)
-    if nmono > DEGREE_GUARD:
-        raise GuardExceeded(
-            f"degree {m} has {nmono} monomials > DEGREE_GUARD={DEGREE_GUARD}")
     gens = segre_generators(M)
-
-    index: dict[int, dict[tuple[int, ...], int]] = {}
-    for mono in itertools.combinations_with_replacement(range(nvars), m):
-        block = index.setdefault(_qdeg(mono), {})
-        block[mono] = len(block)
-
-    sparse_rows: dict[int, list[dict[tuple[int, ...], int]]] = {}
-
-    def add_row(row: dict[tuple[int, ...], int]):
-        qd = _qdeg(next(iter(row)))
-        sparse_rows.setdefault(qd, []).append(row)
-
-    for base in itertools.combinations_with_replacement(range(nvars), m - 1):
-        for g in gens.linear:
-            row: dict[tuple[int, ...], int] = {}
-            for mask, co in g.terms:
-                key = tuple(sorted(base + (mask,)))
-                row[key] = row.get(key, 0) + co
-            add_row(row)
-    if m >= 2:
-        pairs = [(S, T) for S in range(nvars) for T in range(S + 1, nvars)
-                 if (S | T) != S and (S | T) != T]
-        for base in itertools.combinations_with_replacement(range(nvars), m - 2):
-            for S, T in pairs:
-                plus = tuple(sorted(base + (S, T)))
-                minus = tuple(sorted(base + (S | T, S & T)))
-                add_row({plus: 1, minus: -1})
-
-    dims: dict[int, int] = {}
-    for qd, block in index.items():
-        ncols = len(block)
-        rows = ({block[mono]: co for mono, co in row.items()}
-                for row in sparse_rows.get(qd, []))
-        dims[qd] = ncols - echelon_rank(rows, stop_at=ncols)
-    return LaurentQ(dims)
+    ncols = (m + 1) ** M.n
+    if ncols > COLUMN_GUARD:
+        raise GuardExceeded(
+            f"degree {m} has {ncols} box columns > COLUMN_GUARD={COLUMN_GUARD}")
+    box = functools.reduce(LaurentQ.times_qint, [m + 1] * M.n, LaurentQ.one())
+    return LaurentQ({k: size - echelon_rank(gens.rows(m, k), stop_at=size)
+                     for k, size in box.terms.items()})
 
 
 def gorenstein_classify(M: RealizedMatroid) -> GorensteinVerdict:

@@ -2,8 +2,9 @@
 the references that the fast kernels are tested against: Fraction
 elimination, subset-enumerated circuits, dict polynomial arithmetic, the
 bounding-box lattice scan, product-based q-binomial interpolation and series
-numerators, the product forms of the q-integer kernels, and tuple-indexed
-zonotopal elimination."""
+numerators, the product forms of the q-integer kernels, tuple-indexed
+zonotopal elimination, and the harmonic presentation over 2^n subset
+variables."""
 
 import functools
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from zonoq import from_matrix, h_rep
+from zonoq import from_matrix, h_rep, segre_generators
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
 from zonoq.linalg import echelon_rank, nullspace_primitive, rank_int
 
@@ -71,6 +72,18 @@ def sweep_matrices():
         if rank_int(A) == d:
             mats.append(A)
     return mats
+
+
+@functools.cache
+def unimodular_suite():
+    """The corpus, R10, K4, K5 and the unimodular sweep matrices as
+    matroids, each distinct matrix once."""
+    mats = [*CORPUS_MATRICES.values(), R10,
+            graphic(4, list(itertools.combinations(range(4), 2))),
+            graphic(5, list(itertools.combinations(range(5), 2))),
+            *sweep_matrices()]
+    unique = {repr(A): from_matrix(A) for A in mats}
+    return tuple(M for M in unique.values() if M.is_unimodular())
 
 
 def fraction_rref(rows, ncols):
@@ -358,6 +371,57 @@ def reference_hilbert_dims(spec):
             return tuple(dims)
         dims.append(dim)
     raise AssertionError("quotient did not vanish by degree_cap")
+
+
+# -- the 2^n-variable references for the harmonic presentation ---------------
+
+
+def reference_degree1_dim(M):
+    """2^n less the rank of all linear generators, in one elimination."""
+    nvars = 1 << M.n
+    rows = (dict(g.terms) for g in segre_generators(M).linear)
+    return nvars - echelon_rank(rows, stop_at=nvars)
+
+
+def reference_graded_hilbert(M, m):
+    """q-graded dimensions of the degree-m slice, with monomials as sorted
+    tuples of subset bitmasks: the rows are the degree m-1 multiples of the
+    linear generators and the degree m-2 multiples of the binomials
+    z_S z_T - z_(S|T) z_(S&T), eliminated per q-degree block."""
+    if m == 0:
+        return LaurentQ.one()
+    nvars = 1 << M.n
+    gens = segre_generators(M).linear
+
+    def qdeg(mono):
+        return sum(mask.bit_count() for mask in mono)
+
+    index = {}
+    for mono in itertools.combinations_with_replacement(range(nvars), m):
+        block = index.setdefault(qdeg(mono), {})
+        block[mono] = len(block)
+    blocks = {}
+    for base in itertools.combinations_with_replacement(range(nvars), m - 1):
+        for g in gens:
+            row = {}
+            for mask, co in g.terms:
+                key = tuple(sorted(base + (mask,)))
+                row[key] = row.get(key, 0) + co
+            blocks.setdefault(qdeg(next(iter(row))), []).append(row)
+    pairs = [(S, T) for S in range(nvars) for T in range(S + 1, nvars)
+             if (S | T) != S and (S | T) != T]
+    if m >= 2:
+        for base in itertools.combinations_with_replacement(range(nvars), m - 2):
+            for S, T in pairs:
+                plus = tuple(sorted(base + (S, T)))
+                blocks.setdefault(qdeg(plus), []).append(
+                    {plus: 1, tuple(sorted(base + (S | T, S & T))): -1})
+    dims = {}
+    for qd, block in index.items():
+        rows = ({block[mono]: co for mono, co in row.items()}
+                for row in blocks.get(qd, []))
+        dims[qd] = len(block) - echelon_rank(rows, stop_at=len(block))
+    return LaurentQ(dims)
 
 
 EXPECTED_VERDICT = {

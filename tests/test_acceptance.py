@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS_MATRICES, EXPECTED_VERDICT
+from conftest import CORPUS_MATRICES, EXPECTED_VERDICT, unimodular_suite
 from zonoq import (
     QIVP,
     bar_eval,
@@ -210,16 +210,21 @@ def test_criterion_8_gorenstein_suite(corpus):
         if verdict.verdict != NOT_GORENSTEIN and not palindrome_check(M):
             failures.append((name, "palindrome"))
 
-    # at least one non-Gorenstein member must break both identities
-    broken = False
-    for name, M in corpus.items():
-        if EXPECTED_VERDICT[name] == NOT_GORENSTEIN:
-            num = series(M).numerator
-            if not numerator_palindrome(num, M.n, M.d, boolean=True) and \
-               not numerator_palindrome(num, M.n, M.d, boolean=False):
-                broken = True
-    if not broken:
-        failures.append("no non-Gorenstein palindrome violation")
+    # the converse: the numerator form matching the verdict holds and the
+    # other fails; a non-Gorenstein numerator breaks both
+    forms = {BOOLEAN: (True, False), CIRCUIT_COMPONENTS: (False, True),
+             NOT_GORENSTEIN: (False, False)}
+    verdicts = set()
+    for M in unimodular_suite():
+        verdict = gorenstein_classify(M).verdict
+        verdicts.add(verdict)
+        num = series(M).numerator
+        got = (numerator_palindrome(num, M.n, M.d, boolean=True),
+               numerator_palindrome(num, M.n, M.d, boolean=False))
+        if got != forms[verdict]:
+            failures.append((M.realization, verdict, got))
+    if verdicts != set(forms):
+        failures.append(("verdicts seen", verdicts))
 
     # interior minimal-degree trichotomy
     for name, M in corpus.items():

@@ -186,6 +186,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert f"'{key}' must be an integer" in err and repr(value) in err
 
+    @pytest.mark.parametrize("value", [["x"], 7, None])
+    def test_non_string_name(self, tmp_path, capsys, value):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": value, "matrix": [[1, 0, 1], [0, 1, 1]]}))
+        assert run(["tutte", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'name' must be a string, got {value!r}" in captured.err
+
     def test_guard_named_in_message(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"matrix": [[1] * 17]}))

@@ -1,8 +1,15 @@
 """Harmonic-algebra presentation, Gorenstein classification, palindromicity."""
 
+from collections import Counter
+
 import pytest
 
-from conftest import EXPECTED_VERDICT
+from conftest import (
+    EXPECTED_VERDICT,
+    reference_degree1_dim,
+    reference_graded_hilbert,
+    unimodular_suite,
+)
 from zonoq import (
     GuardExceeded,
     degree1_dim,
@@ -56,9 +63,14 @@ class TestSegreGenerators:
             expected = sum(2 ** (M.n - len(c.support)) for c in M.circuits)
             assert len(gens.linear) == expected
 
-    def test_presentation_lines(self, hexagon):
+    def test_presentation_lines(self, corpus, hexagon):
         assert presentation_lines(segre_generators(hexagon)) == \
             ["z_{1} + z_{2} - z_{3}"]
+        # circuit by circuit, then by subset size
+        assert presentation_lines(segre_generators(corpus["two_digons"])) == [
+            "z_{1} - z_{2}", "z_{1,3} - z_{2,3}", "z_{1,4} - z_{2,4}",
+            "z_{1,3,4} - z_{2,3,4}", "z_{3} - z_{4}", "z_{1,3} - z_{1,4}",
+            "z_{2,3} - z_{2,4}", "z_{1,2,3} - z_{1,2,4}"]
 
     def test_variable_guard_names_value(self):
         with pytest.raises(GuardExceeded,
@@ -81,6 +93,8 @@ class TestDegree1Dim:
             assert degree1_dim(M) == M.tutte().eval_int(2, 1), name
 
     def test_eliminates_the_linear_generators(self, corpus, monkeypatch):
+        """One elimination per q-block: every row of a call has its columns
+        in one weight, and over all calls the rows are the generators."""
         seen = []
 
         def recording_rank(rows, stop_at=None):
@@ -90,8 +104,18 @@ class TestDegree1Dim:
 
         monkeypatch.setattr(harmonic, "echelon_rank", recording_rank)
         for name, M in corpus.items():
+            seen.clear()
             degree1_dim(M)
-            assert seen.pop() == [dict(g.terms) for g in segre_generators(M).linear], name
+            assert len(seen) == M.n + 1, name
+            for rows in seen:
+                assert len({col.bit_count() for row in rows for col in row}) <= 1, name
+            got = Counter(frozenset(row.items()) for rows in seen for row in rows)
+            assert got == Counter(frozenset(g.terms)
+                                  for g in segre_generators(M).linear), name
+
+    def test_matches_reference(self):
+        for M in unimodular_suite():
+            assert degree1_dim(M) == reference_degree1_dim(M), M.realization
 
     def test_variable_guard_names_value(self):
         with pytest.raises(GuardExceeded,
@@ -111,20 +135,28 @@ class TestGradedHilbert:
         assert got == LaurentQ({0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_matches_graded_count(self, corpus, m):
+    def test_matches_graded_count(self, m):
+        for M in unimodular_suite():
+            if m == 1 or M.n <= 7:
+                assert graded_hilbert(M, m) == graded_count(M, m).value, \
+                    (M.realization, m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_reference(self, corpus, m):
         for name, M in corpus.items():
-            if M.n > 4:
-                continue
-            assert graded_hilbert(M, m) == graded_count(M, m).value, (name, m)
+            if M.n <= 4:
+                assert graded_hilbert(M, m) == reference_graded_hilbert(M, m), (name, m)
 
     def test_degree_guard_names_value(self, corpus, monkeypatch):
         def no_elimination(*args, **kwargs):
-            raise AssertionError("elimination ran past the degree guard")
+            raise AssertionError("elimination ran past the column guard")
 
         monkeypatch.setattr(harmonic, "echelon_rank", no_elimination)
         with pytest.raises(GuardExceeded,
-                           match=r"^degree 14 has 116280 monomials > DEGREE_GUARD=100000$"):
-            graded_hilbert(corpus["boolean3"], 14)
+                           match=r"^degree 25 has 17576 box columns > COLUMN_GUARD=16384$"):
+            graded_hilbert(corpus["boolean3"], 25)
+        monkeypatch.undo()
+        assert graded_hilbert(corpus["boolean3"], 24).eval_at_one() == 25 ** 3
 
 
 class TestGorenstein:
