@@ -113,9 +113,12 @@ def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) 
     reduced at its lead by ``row = (p/g) row - (f/g) pivot`` with
     g = gcd(p, f), then divided by the gcd of its entries, until it is zero
     or has a lead no pivot owns.  Exits once ``stop_at`` independent rows
-    have been seen.  Suited to large redundant row sets (spans of ideal
-    generators) where most rows reduce to zero.
+    have been seen, before reading a row if it is 0.  Suited to large
+    redundant row sets (spans of ideal generators) where most rows reduce
+    to zero.
     """
+    if stop_at == 0:
+        return 0
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
         row = {j: v for j, v in r.items() if v}

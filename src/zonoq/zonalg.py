@@ -9,8 +9,8 @@ The elimination runs in coordinates where d generators are pure powers: d
 independent forms become the variables y_1..y_d, and the quotient is that of
 the box algebra Q[y]/(y_1^(e_1), ..., y_d^(e_d)) by the other generators,
 each rewritten in y.  A linear change of coordinates keeps the graded
-dimensions, so dims[k] is the number of box monomials of degree k (every
-exponent a_i < e_i) minus the exact integer rank of the box monomial
+dimensions, so dims[k] is the coefficient of q^k in prod_i [e_i]_q (the box
+monomials of degree k) minus the exact integer rank of the box monomial
 multiples of the other generators, each term outside the box dropped.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 from dataclasses import dataclass
-from math import comb
 
 from .errors import GuardExceeded
 from .exact import LaurentQ
@@ -33,19 +32,21 @@ MONOMIAL_GUARD = 50_000
 class GradedIdealSpec:
     """Powers of integer linear forms generating a zero-dimensional ideal.
 
-    generators: (c, e) pairs for the form (sum_i c_i x_i)^e.  An exponent-0
-    generator marks the whole ring as the ideal (zero quotient).
+    generators: (c, e) pairs for the form (sum_i c_i x_i)^e, spanning Q^d.
+    An exponent-0 generator marks the whole ring as the ideal (zero quotient).
     """
 
     variables: int
     generators: tuple[tuple[tuple[int, ...], int], ...]
-    degree_cap: int
 
 
 @dataclass(frozen=True)
 class HilbertFunction:
     dims: tuple[int, ...]
-    as_laurent: LaurentQ
+
+    @property
+    def as_laurent(self) -> LaurentQ:
+        return LaurentQ(dict(enumerate(self.dims)))
 
     @property
     def total(self) -> int:
@@ -68,7 +69,7 @@ def _spec(M: RealizedMatroid, shift: int) -> GradedIdealSpec:
     if M.d < 1:
         raise ValueError("ideal specs require d >= 1")
     gens = tuple((cc.c, cc.support_size + shift) for cc in M.cocircuits)
-    return GradedIdealSpec(M.d, gens, M.n + 1)
+    return GradedIdealSpec(M.d, gens)
 
 
 def _monomials(bounds: list[int], k: int, base: int) -> list[int]:
@@ -90,17 +91,17 @@ def _monomials(bounds: list[int], k: int, base: int) -> list[int]:
     return [col for col, _ in prefixes]
 
 
-def _box_coordinates(d: int, generators) -> tuple[list[int], list] | None:
+def _box_coordinates(d: int, generators) -> tuple[list[int], list]:
     """(e_1..e_d of the pure powers y_i^(e_i), the other generators as
-    (primitive form in y, exponent), sparsest first), or None if the forms
-    do not span Q^d.  One ``rref_int`` of the forms as columns, smallest
-    exponent first, then sparsest, picks the pivot forms C; its column j is
-    D * C^-1 * c_j, the form c_j in the coordinates y = C^T x.
+    (primitive form in y, exponent), sparsest first); ``ArithmeticError`` if
+    the forms do not span Q^d.  One ``rref_int`` of the forms as columns,
+    smallest exponent first, then sparsest, picks the pivot forms C; its
+    column j is D * C^-1 * c_j, the form c_j in the coordinates y = C^T x.
     """
     order = sorted(generators, key=lambda g: (g[1], sum(1 for x in g[0] if x)))
     pivots, R = rref_int([[c[i] for c, _ in order] for i in range(d)])
     if len(pivots) < d:
-        return None
+        raise ArithmeticError("the forms do not span Q^d: the quotient never vanishes")
     chosen = set(pivots)
     others = [(primitive_vector([row[j] for row in R]), e)
               for j, (_, e) in enumerate(order) if j not in chosen]
@@ -126,45 +127,32 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
     """Graded dimensions of the quotient by the spanned ideal, in the
     coordinates of ``_box_coordinates``.
 
-    The computation stops at the first zero dimension and must terminate by
-    degree_cap; forms that do not span Q^d leave no zero dimension.  Degree
-    k is held to C(d+k-1, k) <= MONOMIAL_GUARD monomials in all.
+    Degree k has the coefficient of q^k in prod_i [e_i]_q as its box
+    monomials, held to MONOMIAL_GUARD before they are enumerated; the
+    computation stops at the first zero dimension or at the box's top degree.
     """
-    d = spec.variables
     if any(e == 0 for _, e in spec.generators):
-        return HilbertFunction((), LaurentQ.zero())
-    base = spec.degree_cap + 1
-    coords = _box_coordinates(d, spec.generators)
-    if coords is not None:
-        bounds, others = coords
-        # ordered as _monomials, with O(1) membership
-        box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
-        expanded = [(_form_power(c, e, base), e) for c, e in others]
+        return HilbertFunction(())
+    bounds, others = _box_coordinates(spec.variables, spec.generators)
+    sizes = functools.reduce(LaurentQ.times_qint, bounds, LaurentQ.one()).terms
+    # no digit of a column formed below passes the top degree: nothing carries
+    base = len(sizes) + 1
+    # ordered as _monomials, with O(1) membership
+    box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
+    expanded = [(_form_power(c, e, base), e) for c, e in others]
     dims: list[int] = []
-    for k in range(spec.degree_cap + 1):
-        nmono = comb(d + k - 1, k) if k else 1
-        if nmono > MONOMIAL_GUARD:
+    for k, size in sizes.items():
+        if size > MONOMIAL_GUARD:
             raise GuardExceeded(
-                f"degree {k} has {nmono} monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
-        if coords is None:
-            continue
+                f"degree {k} has {size} box monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
         cols = box(k)
-
-        def rows():
-            for poly, e in expanded:
-                if e > k:
-                    continue
-                for shift in box(k - e):
-                    yield {col: co for c, co in poly.items() if (col := c + shift) in cols}
-
-        dim = len(cols) - echelon_rank(rows(), stop_at=len(cols))
+        rows = ({col: co for c, co in poly.items() if (col := c + shift) in cols}
+                for poly, e in expanded if e <= k for shift in box(k - e))
+        dim = size - echelon_rank(rows, stop_at=size)
         if dim == 0:
             break
         dims.append(dim)
-    else:
-        raise ArithmeticError("quotient did not vanish by degree_cap")
-    return HilbertFunction(tuple(dims),
-                           LaurentQ({k: v for k, v in enumerate(dims)}))
+    return HilbertFunction(tuple(dims))
 
 
 def verify_zonotopal(M: RealizedMatroid) -> bool:

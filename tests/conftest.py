@@ -362,7 +362,7 @@ def reference_hilbert_dims(spec):
             poly = nxt
         expanded.append((poly, e))
     dims = []
-    for k in range(spec.degree_cap + 1):
+    for k in range(sum(e for _, e in spec.generators) + 1):
         index = {mono: i for i, mono in enumerate(monomials(k))}
         rows = [{index[add(mono, s)]: co for mono, co in poly.items()}
                 for poly, e in expanded if e <= k for s in monomials(k - e)]
@@ -370,7 +370,7 @@ def reference_hilbert_dims(spec):
         if dim == 0:
             return tuple(dims)
         dims.append(dim)
-    raise AssertionError("quotient did not vanish by degree_cap")
+    raise AssertionError("quotient did not vanish by the sum of the exponents")
 
 
 # -- the 2^n-variable references for the harmonic presentation ---------------

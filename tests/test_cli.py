@@ -115,12 +115,27 @@ class TestVerify:
                          "series-vs-counts", "reciprocity", "degree1-dim",
                          "thickening"}
 
-    def test_r10_passes(self, tmp_path, capsys):
-        path = tmp_path / "r10.json"
-        path.write_text(json.dumps({"name": "R10", "matrix": R10}))
+    @pytest.mark.parametrize("name", ["R10", "cube10"])
+    def test_r10_passes(self, tmp_path, capsys, name):
+        # the 10-cube's box has at most 252 monomials in any degree, though
+        # its full ring has C(19, 10) = 92378 monomials in degree 10
+        matrix = R10 if name == "R10" else [[int(i == j) for j in range(10)]
+                                            for i in range(10)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "matrix": matrix}))
         code, doc = run_json(capsys, ["verify", str(path), "--m-max", "1"])
         assert code == 0
         assert doc["status"] == "pass" and doc["witnesses"] == []
+        assert {"check": "zonalg-vs-graded", "detail": "m=1", "status": "pass"} \
+            in doc["checks"]
+
+    def test_monomial_guard_skips_zonalg(self, hexagon_file, capsys, monkeypatch):
+        monkeypatch.setattr(zonoq.zonalg, "MONOMIAL_GUARD", 1)
+        code, doc = run_json(capsys, ["verify", hexagon_file, "--m-max", "2"])
+        assert code == 0
+        assert doc["status"] == "pass" and doc["witnesses"] == []
+        statuses = [c["status"] for c in doc["checks"] if c["check"] == "zonalg-vs-graded"]
+        assert statuses == ["skipped", "skipped"]
 
     def test_k6_skips_degree1_dim(self, tmp_path, capsys):
         # n = 15 is past VARIABLE_GUARD=14: the presentation check is skipped

@@ -113,6 +113,10 @@ class TestStopAt:
         rows = [{0: 1}, {0: 3}, {0: -1}, {1: 1}]
         assert self.consumed(rows, 2) == (2, 4)
 
+    def test_stop_at_zero_reads_no_row(self):
+        for rows in ([{0: 1}, {1: 1}], [{}, {0: 0}], []):
+            assert self.consumed(rows, 0) == (0, 0)
+
     def test_unreached_stop_consumes_everything(self):
         rows = [{0: 1}, {0: 2}, {1: 1}]
         assert self.consumed(rows, 5) == (2, 3)

@@ -24,7 +24,7 @@ from zonoq.zonalg import _box_coordinates, _monomials
 class TestSpecs:
     def test_hexagon_external(self, hexagon):
         spec = external_spec(hexagon)
-        assert spec.variables == 2 and spec.degree_cap == 4
+        assert spec.variables == 2
         assert sorted(spec.generators) == [((0, 1), 3), ((1, -1), 3), ((1, 0), 3)]
 
     def test_hexagon_internal(self, hexagon):
@@ -65,18 +65,16 @@ class TestHilbert:
 
     def test_univariate_square(self):
         # C[x] / (x^2)
-        spec = GradedIdealSpec(1, (((1,), 2),), 3)
+        spec = GradedIdealSpec(1, (((1,), 2),))
         assert hilbert(spec).dims == (1, 1)
 
     def test_generator_order_and_scaling_invariance(self, hexagon):
         spec = external_spec(hexagon)
         reordered = GradedIdealSpec(spec.variables,
-                                    tuple(reversed(spec.generators)),
-                                    spec.degree_cap)
+                                    tuple(reversed(spec.generators)))
         scaled = GradedIdealSpec(
             spec.variables,
-            tuple((tuple(-2 * x for x in c), e) for c, e in spec.generators),
-            spec.degree_cap)
+            tuple((tuple(-2 * x for x in c), e) for c, e in spec.generators))
         expected = hilbert(spec).dims
         assert hilbert(reordered).dims == expected
         assert hilbert(scaled).dims == expected
@@ -91,17 +89,18 @@ class TestHilbert:
             for _ in range(4):
                 gens = list(spec.generators)
                 rng.shuffle(gens)
-                shuffled = GradedIdealSpec(spec.variables, tuple(gens),
-                                           spec.degree_cap)
+                shuffled = GradedIdealSpec(spec.variables, tuple(gens))
                 assert hilbert(shuffled).dims == expected, name
 
     def test_monomial_guard_names_value(self):
-        # x_1^5 in 50 variables: no rows below degree 5, and degree 4
-        # already has C(53, 4) monomials
-        spec = GradedIdealSpec(50, (((1,) + (0,) * 49, 5),), 5)
+        # x_1^3, ..., x_20^3: the box is the whole quotient, and its degree 6
+        # is the first with more box monomials (the coefficient of q^6 in
+        # [3]_q^20) than the guard admits
+        spec = GradedIdealSpec(20, tuple(
+            (tuple(int(i == j) for j in range(20)), 3) for i in range(20)))
         with pytest.raises(
                 GuardExceeded,
-                match=r"^degree 4 has 292825 monomials > MONOMIAL_GUARD=50000$"):
+                match=r"^degree 6 has 146490 box monomials > MONOMIAL_GUARD=50000$"):
             hilbert(spec)
 
     def test_external_starts_at_one_and_counts_points(self, corpus):
@@ -114,7 +113,7 @@ class TestHilbert:
 
 class TestColumnCoding:
     """Box monomials y^a (a_i < bounds[i]) are columns -(exponents read in
-    base degree_cap + 1)."""
+    a base above the degree, in ``hilbert`` one past the box's top degree)."""
 
     def test_columns_ascend_in_graded_lex_order(self):
         for d in range(0, 5):
@@ -151,7 +150,7 @@ class TestBoxCoordinates:
                 ((1, 0, 1), 4), ((0, 0, 1), 3))
         assert _box_coordinates(3, gens) == (
             [2, 3, 3], [((1, 0, 0), 2), ((1, -1, 1), 4)])
-        spec = GradedIdealSpec(3, gens, 8)
+        spec = GradedIdealSpec(3, gens)
         assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 5, 5, 2)
 
     def test_terms_outside_the_box_are_dropped(self):
@@ -159,17 +158,17 @@ class TestBoxCoordinates:
         # xz (x - y)^3 and yz (x - y)^3 are +-3 x^2 y^2 z, so degree 5 keeps
         # one dimension; rows that kept x^3 yz and x y^3 z would lose it
         spec = GradedIdealSpec(3, (((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
-                                   ((1, -1, 0), 3)), 9)
+                                   ((1, -1, 0), 3)))
         assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 6, 6, 4, 1)
 
     @pytest.mark.parametrize("spec", [
-        GradedIdealSpec(2, (((1, 1), 2), ((-2, -2), 3)), 6),
-        GradedIdealSpec(3, (((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 1)), 9),
-        GradedIdealSpec(2, (), 4),
+        GradedIdealSpec(2, (((1, 1), 2), ((-2, -2), 3))),
+        GradedIdealSpec(3, (((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), 1))),
+        GradedIdealSpec(2, ()),
     ])
     def test_forms_that_do_not_span_never_vanish(self, spec):
         with pytest.raises(ArithmeticError,
-                           match=r"^quotient did not vanish by degree_cap$"):
+                           match=r"^the forms do not span Q\^d: the quotient never vanishes$"):
             hilbert(spec)
 
     def test_sweep_subset_scaled_and_shuffled(self):
@@ -184,7 +183,7 @@ class TestBoxCoordinates:
                     gens = [(tuple(s * x for x in c), e) for (c, e), s in zip(
                         spec.generators, rng.choices((-3, -2, 2, 3), k=len(spec.generators)))]
                     rng.shuffle(gens)
-                    spec = GradedIdealSpec(spec.variables, tuple(gens), spec.degree_cap)
+                    spec = GradedIdealSpec(spec.variables, tuple(gens))
                     assert hilbert(spec).dims == reference_hilbert_dims(spec), (A, m)
                     checked += 1
                     unimodular.add(M.is_unimodular())
