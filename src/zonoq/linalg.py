@@ -153,9 +153,11 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries, first nonzero
     entry positive (the zero vector is returned as is)."""
     g = gcd(*vec)
-    if g and next(v for v in vec if v) < 0:
-        g = -g
-    return tuple(v // g for v in vec) if g else tuple(vec)
+    for v in vec:  # the sign of the first nonzero entry
+        if v:
+            g = -g if v < 0 else g
+            break
+    return tuple(vec) if g in (0, 1) else tuple([v // g for v in vec])
 
 
 def nullspace_primitive(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:

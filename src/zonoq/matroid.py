@@ -13,7 +13,10 @@ one-dimensional left kernels are the hyperplane normals.  Run on A it gives
 the cocircuits, and unimodularity is read off them (A is unimodular iff
 every cocircuit vector lies in {0, +-1}^n); run on a kernel basis of A, which
 realizes the dual matroid, it gives the circuits.  Connected components are
-read off the fundamental graph of one ``rref_int``.
+read off the fundamental graph of one ``rref_int``.  The Tutte polynomial is
+a memoised deletion/contraction on that same solved form: a contraction drops
+a row and a column, a deletion is one fraction-free pivot step, so a matroid
+needs one ``rref_int`` however many minors the recursion visits.
 
 Ground sets are capped at 16 elements: the sweep is a subset enumeration,
 which is exact and fast at desk scale.
@@ -21,6 +24,7 @@ which is exact and fast at desk scale.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -162,7 +166,10 @@ class RealizedMatroid:
                      if not any(self.realization.column(j)))
 
     def coloops(self) -> tuple[int, ...]:
-        return _coloops(*rref_int(self.realization.entries))
+        """The pivot columns of ``rref_int(A)`` whose row is zero off the
+        pivot, i.e. that no other column needs."""
+        pivots, R = rref_int(self.realization.entries)
+        return tuple(pc for pc, row in zip(pivots, R) if row.count(0) == self.n - 1)
 
     # -- unimodularity ------------------------------------------------------
 
@@ -218,7 +225,7 @@ class RealizedMatroid:
 
     @invariant
     def tutte(self) -> BiPolyXY:
-        return _tutte_cols(tuple(self.realization.columns()), self.d)
+        return _tutte_solved(*rref_int(self.realization.entries), self.n)
 
     # -- connectivity ---------------------------------------------------------
 
@@ -363,59 +370,49 @@ def _column_to_e1(rows: list[list[int]], j: int) -> list[list[int]]:
 _TUTTE_MEMO: dict[tuple, BiPolyXY] = {}
 
 
-def _coloops(pivots: list[int], R: list[list[int]]) -> tuple[int, ...]:
-    """Coloops from a solved form ``rref_int(A)``: the pivot columns whose
-    row of R is zero off the pivot, i.e. that no other column needs."""
-    return tuple(pc for pc, row in zip(pivots, R)
-                 if sum(1 for x in row if x) == 1)
+def _tutte_solved(pivots: list[int], R: list[list[int]], n: int) -> BiPolyXY:
+    """Deletion/contraction on a solved form: R is a nonzero multiple of the
+    reduced row echelon form of an n-column matrix, with pivot columns B.
 
-
-def _canonical_signature(cols: tuple[tuple[int, ...], ...], d: int
-                         ) -> tuple[tuple, tuple[int, ...]]:
-    """Memo key invariant under row operations and column scaling, and the
-    coloops, both from one ``rref_int`` of the d x n matrix.
-
-    Its pivot columns are the greedy basis B and its column j is
-    D * B^-1 a_j, which ``primitive_vector`` turns into the coordinates of
-    a_j in B, primitive and sign-fixed.  Sorted, they form the key, so
-    minors reached along different deletion/contraction orders share an
-    entry.  Equal keys always describe isomorphic column configurations,
-    hence equal Tutte polynomials, so cross-matroid sharing is sound.
+    The memo key, the columns of R made primitive and sorted, is invariant
+    under row operations and column scaling, so minors reached in different
+    orders, or from different matroids, share an entry: equal keys describe
+    isomorphic configurations.  The first element that is neither a loop
+    nor a coloop is the pivot e of the first row of R with two nonzeros.
+    Contracting e drops its row and column; deleting it swaps f, the first
+    nonzero of e's row after e, into B by one fraction-free pivot step
+    ``(p * row - row[f] * top) / D``, exact by Sylvester's identity.
     """
-    n = len(cols)
-    if d == 0:
-        return (0, n), ()
-    pivots, R = rref_int(list(zip(*cols)))
-    sig = sorted(primitive_vector(col) for col in zip(*R))
-    return (d, tuple(sig)), _coloops(pivots, R)
-
-
-def _tutte_cols(cols: tuple[tuple[int, ...], ...], d: int) -> BiPolyXY:
-    if not cols:
+    if not n:
         return BiPolyXY.one()
-    key, coloops = _canonical_signature(cols, d)
+    d = len(pivots)
+    key = (d, tuple(sorted(map(primitive_vector, zip(*R))))) if d else (0, n)
     hit = _TUTTE_MEMO.get(key)
     if hit is not None:
         return hit
-    # the first element that is neither a loop nor a coloop
-    pivot = next((j for j, col in enumerate(cols)
-                  if any(col) and j not in coloops), None)
-    if pivot is None:
-        result = BiPolyXY.monomial(len(coloops), len(cols) - len(coloops))
+    i = next((i for i, row in enumerate(R) if row.count(0) < n - 1), None)
+    if i is None:  # only coloops and loops
+        result = BiPolyXY.monomial(d, n - d)
     else:
-        deleted = cols[:pivot] + cols[pivot + 1:]
-        result = _tutte_cols(deleted, d) + _tutte_cols(_contract_cols(cols, pivot), d - 1)
+        top, e = R[i], pivots[i]
+        rest_pivots, rest = pivots[:i] + pivots[i + 1:], R[:i] + R[i + 1:]
+        f = next(j for j in range(e + 1, n) if top[j])
+        p, D = top[f], top[e]
+        stepped = [row if not row[f] and p == D else
+                   [(p * a - row[f] * b) // D for a, b in zip(row, top)]
+                   for row in rest]
+        k = bisect.bisect(rest_pivots, f)
+        deleted = _drop_column(e, rest_pivots[:k] + [f] + rest_pivots[k:],
+                               stepped[:k] + [top] + stepped[k:])
+        result = (_tutte_solved(*deleted, n - 1)
+                  + _tutte_solved(*_drop_column(e, rest_pivots, rest), n - 1))
     _TUTTE_MEMO[key] = result
     return result
 
 
-def _contract_cols(cols: tuple[tuple[int, ...], ...], j: int) -> tuple[tuple[int, ...], ...]:
-    d = len(cols[0])
-    rows = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
-    rows = _column_to_e1(rows, j)
-    rest = rows[1:]
-    return tuple(tuple(r[k] for r in rest)
-                 for k in range(len(cols)) if k != j)
+def _drop_column(e: int, pivots: list[int], R: list[list[int]]
+                 ) -> tuple[list[int], list[list[int]]]:
+    return [pc - (pc > e) for pc in pivots], [row[:e] + row[e + 1:] for row in R]
 
 
 def tutte_thickened(T: BiPolyXY, d: int, m: int) -> BiPolyXY:

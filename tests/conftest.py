@@ -1,10 +1,10 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
-elimination, subset-enumerated circuits, dict polynomial arithmetic, the
-bounding-box lattice scan, product-based q-binomial interpolation and series
-numerators, the product forms of the q-integer kernels, tuple-indexed
-zonotopal elimination, and the harmonic presentation over 2^n subset
-variables."""
+elimination, subset-enumerated circuits, the per-minor Tutte recursion,
+dict polynomial arithmetic, the bounding-box lattice scan, product-based
+q-binomial interpolation and series numerators, the product forms of the
+q-integer kernels, tuple-indexed zonotopal elimination, and the harmonic
+presentation over 2^n subset variables."""
 
 import functools
 import itertools
@@ -15,7 +15,9 @@ import pytest
 
 from zonoq import from_matrix, h_rep, segre_generators
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
-from zonoq.linalg import echelon_rank, nullspace_primitive, rank_int
+from zonoq.linalg import (echelon_rank, nullspace_primitive, primitive_vector,
+                          rank_int, rref_int)
+from zonoq.matroid import _column_to_e1
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
 # a graphic K_3 with a doubled edge, a matroid with a loop, direct sums of
@@ -155,6 +157,59 @@ def reference_components(n, circuits):
         groups.setdefault(find(j), []).append(j)
     supports = {frozenset(s) for s, _ in circuits}
     return sorted((tuple(g), frozenset(g) in supports) for g in groups.values())
+
+
+# -- the per-minor Tutte recursion ---------------------------------------------
+# Deletion/contraction on raw columns, with a fresh ``rref_int`` per minor for
+# the memo key and the coloops, and an xgcd column reduction per contraction:
+# the recursion ``RealizedMatroid.tutte`` ran before it worked on one solved
+# form.  Its memo keys are the ones the solved form must produce.
+
+
+def _reference_signature(cols, d):
+    n = len(cols)
+    if d == 0:
+        return (0, n), ()
+    pivots, R = rref_int(list(zip(*cols)))
+    sig = sorted(primitive_vector(col) for col in zip(*R))
+    coloops = tuple(pc for pc, row in zip(pivots, R)
+                    if sum(1 for x in row if x) == 1)
+    return (d, tuple(sig)), coloops
+
+
+def _reference_contract(cols, j):
+    d = len(cols[0])
+    rows = [[cols[k][i] for k in range(len(cols))] for i in range(d)]
+    rest = _column_to_e1(rows, j)[1:]
+    return tuple(tuple(r[k] for r in rest)
+                 for k in range(len(cols)) if k != j)
+
+
+def _reference_tutte_cols(cols, d, memo):
+    if not cols:
+        return BiPolyXY.one()
+    key, coloops = _reference_signature(cols, d)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    pivot = next((j for j, col in enumerate(cols)
+                  if any(col) and j not in coloops), None)
+    if pivot is None:
+        result = BiPolyXY.monomial(len(coloops), len(cols) - len(coloops))
+    else:
+        deleted = cols[:pivot] + cols[pivot + 1:]
+        result = (_reference_tutte_cols(deleted, d, memo)
+                  + _reference_tutte_cols(_reference_contract(cols, pivot),
+                                          d - 1, memo))
+    memo[key] = result
+    return result
+
+
+def reference_tutte(M):
+    """(Tutte polynomial of M, the memo it filled) by the per-minor
+    recursion, from a cold memo of its own."""
+    memo = {}
+    return _reference_tutte_cols(tuple(M.realization.columns()), M.d, memo), memo
 
 
 # -- the term-map reference for the dense polynomial core --------------------

@@ -15,8 +15,8 @@ import pytest
 import zonoq
 from conftest import fraction_kernel, fraction_rref, graphic, sweep_matrices
 from zonoq import degree1_dim, from_matrix, linalg, verify_zonotopal
-from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive, rank_int,
-                          rref_int)
+from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive,
+                          primitive_vector, rank_int, rref_int)
 
 
 def as_dicts(matrix):
@@ -199,6 +199,41 @@ class TestDenseKernels:
         rows = [[0, 2, 4], [3, 1, 1]]
         rref_int(rows)
         assert rows == [[0, 2, 4], [3, 1, 1]]
+
+
+def primitive_by_gcd(vec):
+    """Divide by the gcd of the entries, then negate if the first nonzero
+    entry is negative; the zero vector as is."""
+    g = math.gcd(*vec)
+    if not g:
+        return tuple(vec)
+    out = [v // g for v in vec]
+    if next(v for v in out if v) < 0:
+        out = [-v for v in out]
+    return tuple(out)
+
+
+class TestPrimitiveVector:
+    def test_against_gcd_reference(self):
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(600):
+            n = rng.randint(0, 6)
+            scale = rng.choice((1, -1, 2, -3, 6, 10**6))
+            vec = [scale * v for v in random_matrix(
+                rng, 1, n, rng.choice((1, 3)), rng.choice((1.0, 0.5, 0.0)))[0]]
+            if rng.random() < 0.5:
+                vec = tuple(vec)
+            got = primitive_vector(vec)
+            assert type(got) is tuple, vec  # callers hash it
+            assert got == primitive_by_gcd(vec), vec
+            g = math.gcd(*vec)
+            seen.add("zero" if not g else
+                      ("gcd>1" if g > 1 else "gcd=1",
+                       next(v for v in vec if v) < 0, type(vec).__name__))
+        assert seen == {"zero"} | {(g, neg, kind) for g in ("gcd>1", "gcd=1")
+                                   for neg in (False, True)
+                                   for kind in ("list", "tuple")}
 
 
 def leibniz(m):

@@ -8,13 +8,27 @@ import random
 
 import pytest
 
-from conftest import (CORPUS_MATRICES, DIAMOND, R10, fraction_kernel,
+import zonoq.matroid as matroid
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, fraction_kernel, graphic,
                       product_tutte_thickened, reference_circuits,
-                      reference_components, sweep_matrices)
+                      reference_components, reference_tutte, sweep_matrices)
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
-from zonoq.linalg import det_int
+from zonoq.linalg import det_int, rref_int
+
+K4 = graphic(4, list(itertools.combinations(range(4), 2)))
+K5 = graphic(5, list(itertools.combinations(range(5), 2)))
+
+# fresh matroids per call, so no Tutte polynomial is cached on them yet
+TUTTE_REFERENCE_CASES = {
+    "sweep": lambda: [from_matrix(A) for A in sweep_matrices()],
+    "corpus": lambda: [from_matrix(A) for A in CORPUS_MATRICES.values()],
+    "R10_K4_K5": lambda: [from_matrix(A) for A in (R10, K4, K5)],
+    "thickenings": lambda: [from_matrix(A).thicken(m)
+                            for A in CORPUS_MATRICES.values()
+                            for m in range(2, 16 // len(A[0]) + 1)],
+}
 
 
 def brute_independent_sets(M) -> int:
@@ -268,6 +282,52 @@ class TestTutte:
                 j for j in range(M.n) if M.rank(everything - {j}) < M.d), A
             counts.add(min(len(M.coloops()), 2))
         assert counts == {0, 1, 2}
+
+    @pytest.mark.parametrize("group", list(TUTTE_REFERENCE_CASES))
+    def test_matches_reference(self, group, monkeypatch):
+        # From a cold memo each: equal polynomials and the same memo keys,
+        # stored in the same order, so the solved-form recursion visits the
+        # minors of the per-minor recursion in the same order.
+        for M in TUTTE_REFERENCE_CASES[group]():
+            monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
+            T, memo = reference_tutte(M)
+            assert M.tutte() == T, M.realization
+            assert list(matroid._TUTTE_MEMO) == list(memo), M.realization
+
+    def test_one_rref_per_matroid(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(1)
+            return rref_int(rows)
+
+        monkeypatch.setattr(matroid, "rref_int", counted)
+        monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
+        from_matrix(K5).tutte()
+        assert len(calls) == 1
+        # the per-minor recursion made one per minor visited, and stored 59
+        assert len(matroid._TUTTE_MEMO) == 59
+
+    @pytest.mark.parametrize("build, expected", [
+        # a d = 0 minor: one loop
+        (lambda: from_matrix([[1, 1]]).contract(0), {(0, 1): 1}),
+        # a loop in column 0
+        (lambda: from_matrix([[0, 1, 1]]), {(1, 1): 1, (0, 2): 1}),
+        # a coloop before the first element that is neither
+        (lambda: from_matrix([[1, 0, 0], [0, 1, 1]]), {(2, 0): 1, (1, 1): 1}),
+        # non-unimodular U_{2,3}, largest minors 2 and 4; the second divides
+        # by D = 2 in its first deletion step
+        (lambda: from_matrix([[1, 1, 1], [0, 1, 2]]),
+         {(2, 0): 1, (1, 0): 1, (0, 1): 1}),
+        (lambda: from_matrix([[2, 1, 0], [0, 1, 2]]),
+         {(2, 0): 1, (1, 0): 1, (0, 1): 1}),
+    ], ids=["rank_zero", "loop_first", "coloop_first", "u23_det2", "u23_det4"])
+    def test_edge_cases(self, build, expected, monkeypatch):
+        monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
+        M = build()
+        T, memo = reference_tutte(M)
+        assert M.tutte() == T == BiPolyXY(expected)
+        assert list(matroid._TUTTE_MEMO) == list(memo)
 
     def test_deletion_contraction_identity(self, corpus):
         rng = random.Random(17)
