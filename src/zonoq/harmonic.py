@@ -8,16 +8,21 @@ binomial family z_S z_T - z_(S|T) z_(S&T) together with one linear form per
 The binomials generate the Hibi ideal of the Boolean lattice, whose quotient
 is the Segre ring of (P^1)^n (Hibi 1987): modulo them a degree-m monomial
 z_(T_1)...z_(T_m) is its count vector b_j = #{i : j in T_i}, a point of the
-box {0..m}^n of q-degree |b|.  So the degree-m slice of the ideal is spanned
+box {0..m}^n of q-degree |b|, and the degree-m slice of the ideal is spanned
 by one row sum_{i in C} alpha_i e_(b+e_i) per circuit C and box point b with
-b_i <= m-1 on C; columns are box points read in base m+1 (at m = 1, subset
-bitmasks), eliminated one q-block |b| at a time.
+b_i <= m-1 on C.  For columns a_i = +-a_i' these rows move one unit between
+b_i and b_i', and any other circuit meets such a class at most once; so a
+class of p columns equal up to sign (or of p loops) is one coordinate in
+{0..m*p}, under the circuit rows of R, the matroid of one column per class.
+Columns are box points in mixed radix (at m = 1 with no repeated column,
+subset bitmasks), eliminated one q-block |b| at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,10 +30,10 @@ from . import gehrhart
 from .errors import GuardExceeded
 from .exact import LaurentQ, PolyTQ
 from .linalg import echelon_rank
-from .matroid import CircuitRep, RealizedMatroid
+from .matroid import CircuitRep, Realization, RealizedMatroid, invariant
 
 VARIABLE_GUARD = 14          # at most 2^14 z-variables
-COLUMN_GUARD = 16_384        # box columns (m+1)^n of one degree
+COLUMN_GUARD = 16_384        # box columns prod (m*p_j + 1) of one degree
 FACTORIAL_GUARD = 8
 
 BOOLEAN = "boolean"
@@ -90,28 +95,45 @@ class SegreGenerators:
                     linear.append(SegreLinearForm(circ.support, a_set, terms))
         return tuple(linear)
 
-    def rows(self, m: int, k: int) -> Iterator[dict[int, int]]:
-        """The q-block k of the degree-m ideal: per circuit C, the rows
-        sum_{i in C} alpha_i e_(b+e_i) over box points b with b_i <= m-1 on C
-        and |b| = k-1.  At m = 1, the generators with |A| = k-1."""
+    def rows(self, bounds: tuple[int, ...], k: int) -> Iterator[dict[int, int]]:
+        """The q-block k over the box prod_j {0..bounds[j]}, in mixed radix: per
+        circuit C, the rows sum_{i in C} alpha_i e_(b+e_i) over box points b
+        with b_i <= bounds[i]-1 on C and |b| = k-1.  Degree m of M itself is
+        ``bounds = (m,) * n``; at m = 1, the generators with |A| = k-1."""
         if k < 1:
             return
-        base = m + 1
-        place = tuple(base ** j for j in reversed(range(self.n)))
+        place = [math.prod(b + 1 for b in bounds[:j]) for j in range(len(bounds))]
         for circ in self.circuits:
-            terms = [(base ** i, co) for i, co in zip(circ.support, circ.alpha)]
-            free = frozenset(place).difference(w for w, _ in terms)
-            levels = (frozenset(place),) * (m - 1) + (free,)
-            for b in _chains(place, levels, k - 1):
+            terms = [(place[i], co) for i, co in zip(circ.support, circ.alpha)]
+            levels = tuple(frozenset(w for j, w in enumerate(place) if bounds[j] > t
+                                     or bounds[j] == t and j not in circ.support)
+                           for t in range(1, max(bounds) + 1))
+            for b in _chains(place[::-1], levels, k - 1):
                 yield {b + w: co for w, co in terms}
+
+
+def _guard_variables(M: RealizedMatroid) -> None:
+    if M.n > VARIABLE_GUARD:
+        raise GuardExceeded(
+            f"{M.n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
 
 
 def segre_generators(M: RealizedMatroid) -> SegreGenerators:
     """All linear generators, one per (circuit, disjoint subset) pair."""
-    if M.n > VARIABLE_GUARD:
-        raise GuardExceeded(
-            f"{M.n} ground-set elements > VARIABLE_GUARD={VARIABLE_GUARD}")
+    _guard_variables(M)
     return SegreGenerators(M.n, M.circuits)
+
+
+@invariant
+def _sign_classes(M: RealizedMatroid) -> tuple[RealizedMatroid, tuple[int, ...]]:
+    """The matroid R of the first column of each class of columns equal up to
+    sign (all loops are one class), in first-occurrence order; class sizes."""
+    classes: dict[tuple[int, ...], list] = {}
+    for col in M.realization.columns():
+        classes.setdefault(max(col, tuple(-x for x in col)), [col, 0])[1] += 1
+    cols = [col for col, _ in classes.values()]
+    R = RealizedMatroid(Realization(M.d, len(cols), tuple(zip(*cols))))
+    return R, tuple(p for _, p in classes.values())
 
 
 def degree1_dim(M: RealizedMatroid) -> int:
@@ -121,20 +143,23 @@ def degree1_dim(M: RealizedMatroid) -> int:
 
 
 def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
-    """q-graded dimensions of the degree-m slice of the quotient algebra:
-    per q-block k, the box points of weight k (the coefficients of
-    [m+1]_q^n) less the rank of the rows ``SegreGenerators.rows(m, k)``."""
+    """q-graded dimensions of the degree-m slice of the quotient algebra: per
+    q-block k, the box points of weight k (coefficients of prod_j [m*p_j+1]_q
+    over the sign classes (R, p) of M) less the rank of R's ``rows``."""
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
         return LaurentQ.one()
-    gens = segre_generators(M)
-    ncols = (m + 1) ** M.n
+    _guard_variables(M)
+    R, sizes = _sign_classes(M)
+    bounds = tuple(m * p for p in sizes)
+    ncols = math.prod(b + 1 for b in bounds)
     if ncols > COLUMN_GUARD:
         raise GuardExceeded(
             f"degree {m} has {ncols} box columns > COLUMN_GUARD={COLUMN_GUARD}")
-    box = functools.reduce(LaurentQ.times_qint, [m + 1] * M.n, LaurentQ.one())
-    return LaurentQ({k: size - echelon_rank(gens.rows(m, k), stop_at=size)
+    gens = segre_generators(R)
+    box = functools.reduce(LaurentQ.times_qint, [b + 1 for b in bounds], LaurentQ.one())
+    return LaurentQ({k: size - echelon_rank(gens.rows(bounds, k), stop_at=size)
                      for k, size in box.terms.items()})
 
 

@@ -4,7 +4,7 @@ elimination, subset-enumerated circuits, the per-minor Tutte recursion,
 dict polynomial arithmetic, the bounding-box lattice scan, product-based
 q-binomial interpolation and series numerators, the product forms of the
 q-integer kernels, tuple-indexed zonotopal elimination, and the harmonic
-presentation over 2^n subset variables."""
+presentation over 2^n subset variables and over the uniform Segre box."""
 
 import functools
 import itertools
@@ -477,6 +477,29 @@ def reference_graded_hilbert(M, m):
                 for row in blocks.get(qd, []))
         dims[qd] = len(block) - echelon_rank(rows, stop_at=len(block))
     return LaurentQ(dims)
+
+
+def reference_box_graded_hilbert(M, m):
+    """The degree-m slice over the uniform box {0..m}^n of count vectors, one
+    coordinate per column however the columns repeat: per q-block, the box
+    points of that weight less the rank of the rows sum_{i in C} alpha_i
+    e_(b+e_i) over circuits C and box points b with b_i <= m-1 on C."""
+    if m == 0:
+        return LaurentQ.one()
+    index = {}
+    for b in itertools.product(range(m + 1), repeat=M.n):
+        block = index.setdefault(sum(b), {})
+        block[b] = len(block)
+    blocks = {}
+    for circ in M.circuits:
+        ranges = [range(m if j in circ.support else m + 1) for j in range(M.n)]
+        for b in itertools.product(*ranges):
+            k = sum(b) + 1
+            blocks.setdefault(k, []).append(
+                {index[k][tuple(x + (j == i) for j, x in enumerate(b))]: co
+                 for i, co in zip(circ.support, circ.alpha)})
+    return LaurentQ({k: len(block) - echelon_rank(blocks.get(k, []), stop_at=len(block))
+                     for k, block in index.items()})
 
 
 EXPECTED_VERDICT = {

@@ -1,11 +1,17 @@
 """Harmonic-algebra presentation, Gorenstein classification, palindromicity."""
 
+import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
 
 from conftest import (
     EXPECTED_VERDICT,
+    R10,
+    graphic,
+    reference_box_graded_hilbert,
     reference_degree1_dim,
     reference_graded_hilbert,
     unimodular_suite,
@@ -26,7 +32,7 @@ from zonoq import (
 )
 from zonoq import harmonic
 from zonoq.exact import LaurentQ, PolyTQ
-from zonoq.linalg import echelon_rank
+from zonoq.linalg import echelon_rank, rank_int
 from zonoq.harmonic import (
     BOOLEAN,
     CIRCUIT_COMPONENTS,
@@ -34,6 +40,50 @@ from zonoq.harmonic import (
     numerator_palindrome,
     presentation_lines,
 )
+
+
+K4 = graphic(4, list(itertools.combinations(range(4), 2)))
+
+
+def _column(point, bounds):
+    """A box point read in mixed radix, the first coordinate lowest."""
+    col = 0
+    for x, b in reversed(list(zip(point, bounds))):
+        col = col * (b + 1) + x
+    return col
+
+
+def _digit_sum(col, bounds):
+    """The q-weight |b| of the box point of a mixed-radix column."""
+    total = 0
+    for b in bounds:
+        col, x = divmod(col, b + 1)
+        total += x
+    return total
+
+
+def _box_rows(R, bounds):
+    """R's circuit rows over the box prod_j {0..bounds[j]}, point by point."""
+    for circ in R.circuits:
+        ranges = [range(b if j in circ.support else b + 1) for j, b in enumerate(bounds)]
+        for point in itertools.product(*ranges):
+            yield frozenset(
+                (_column([x + (j == i) for j, x in enumerate(point)], bounds), co)
+                for i, co in zip(circ.support, circ.alpha))
+
+
+def _with_duplicates(rng):
+    """A full-rank matrix whose columns repeat up to sign, often not
+    unimodular, with a zero column now and then."""
+    while True:
+        d = rng.randint(1, 3)
+        cols = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(d, 4))]
+        while len(cols) < 7:
+            cols.append([rng.choice((1, -1)) * x for x in rng.choice(cols)])
+        rng.shuffle(cols)
+        A = [list(row) for row in zip(*cols[:rng.randint(d + 1, 7)])]
+        if rank_int(A) == d:
+            return A
 
 
 class TestSegreGenerators:
@@ -93,8 +143,10 @@ class TestDegree1Dim:
             assert degree1_dim(M) == M.tutte().eval_int(2, 1), name
 
     def test_eliminates_the_linear_generators(self, corpus, monkeypatch):
-        """One elimination per q-block: every row of a call has its columns
-        in one weight, and over all calls the rows are the generators."""
+        """One elimination per q-block of the sign-class box: every row of a
+        call has its columns in one weight (the mixed-radix digit sum), and
+        over all calls the rows are the circuit rows of R over the box; with
+        no column repeated up to sign, they are the generators as bitmasks."""
         seen = []
 
         def recording_rank(rows, stop_at=None):
@@ -103,15 +155,21 @@ class TestDegree1Dim:
             return echelon_rank(rows, stop_at=stop_at)
 
         monkeypatch.setattr(harmonic, "echelon_rank", recording_rank)
-        for name, M in corpus.items():
+        matroids = {**corpus, "R10": from_matrix(R10), "K4": from_matrix(K4)}
+        for name, M in matroids.items():
+            R, sizes = harmonic._sign_classes(M)
             seen.clear()
             degree1_dim(M)
             assert len(seen) == M.n + 1, name
             for rows in seen:
-                assert len({col.bit_count() for row in rows for col in row}) <= 1, name
+                assert len({_digit_sum(col, sizes) for row in rows for col in row}) <= 1, name
             got = Counter(frozenset(row.items()) for rows in seen for row in rows)
-            assert got == Counter(frozenset(g.terms)
-                                  for g in segre_generators(M).linear), name
+            assert got == Counter(_box_rows(R, sizes)), name
+            if sizes == (1,) * M.n:
+                assert got == Counter(frozenset(g.terms)
+                                      for g in segre_generators(M).linear), name
+        assert {"hexagon", "R10", "K4"} <= {
+            name for name, M in matroids.items() if max(harmonic._sign_classes(M)[1]) == 1}
 
     def test_matches_reference(self):
         for M in unimodular_suite():
@@ -157,6 +215,102 @@ class TestGradedHilbert:
             graded_hilbert(corpus["boolean3"], 25)
         monkeypatch.undo()
         assert graded_hilbert(corpus["boolean3"], 24).eval_at_one() == 25 ** 3
+
+    def test_column_guard_counts_the_class_box(self):
+        """Ten parallel columns at m = 2 build 21 columns, not 3^10."""
+        M = from_matrix([[1] * 10])
+        assert graded_hilbert(M, 2) == graded_count(M, 2).value
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_graded_count_on_thickenings(self, corpus, m):
+        for name, M in {**corpus, "K4": from_matrix(K4)}.items():
+            for t in (1, 2, 3):
+                if M.n * t > harmonic.VARIABLE_GUARD:
+                    continue
+                T = M.thicken(t)
+                if math.prod(m * p + 1 for p in harmonic._sign_classes(T)[1]) <= 5000:
+                    assert graded_hilbert(T, m) == graded_count(T, m).value, (name, t, m)
+
+
+class TestSignClasses:
+    """The sign-class box against the uniform box of the parent design and,
+    for n <= 4, against the 2^n-variable presentation."""
+
+    CASES = {
+        "ten_parallel": [[1] * 10],
+        "loop_class": [[0, 0, 1, 1]],
+        "loops_and_flips": [[0, 1, 0, -1, 1]],
+        "flipped_pair": [[1, -1, 0, 1], [0, 0, 1, 1]],
+        "flipped_k3": [[1, 0, -1, 1, 0, -1], [0, 1, 0, 1, -1, -1]],
+        "non_unit_parallel": [[1, 2, 0], [0, 0, 1]],
+        "mixed_parallel": [[1, 2, -1, -2, 0], [0, 0, 0, 0, 1]],
+    }
+
+    @staticmethod
+    def check(M, label):
+        for m in (1, 2):
+            if (m + 1) ** M.n <= 1024:
+                got = graded_hilbert(M, m)
+                assert got == reference_box_graded_hilbert(M, m), (label, m)
+                if M.n <= 4:
+                    assert got == reference_graded_hilbert(M, m), (label, m)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edge_cases(self, name):
+        self.check(from_matrix(self.CASES[name]), name)
+
+    def test_d0_minor(self):
+        M = from_matrix([[1, 1]]).contract(0)
+        assert (M.d, M.n) == (0, 1)
+        assert harmonic._sign_classes(M)[1] == (1,)
+        self.check(M, "d0")
+        assert graded_hilbert(M, 2) == LaurentQ.one()
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_corpus_thickenings(self, corpus, t):
+        for name, M in corpus.items():
+            if M.n * t <= 16:
+                self.check(M.thicken(t), (name, t))
+
+    def test_random_with_duplicates(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            A = _with_duplicates(rng)
+            self.check(from_matrix(A), A)
+
+    def test_classes(self):
+        M = from_matrix([[1, 0, -1, 0, 2, 1], [0, 1, 0, 0, 0, 0]])
+        R, sizes = harmonic._sign_classes(M)
+        assert R.realization.columns() == [(1, 0), (0, 1), (0, 0), (2, 0)]
+        assert sizes == (3, 1, 1, 1)
+        assert harmonic._sign_classes(M)[0] is R  # one R and circuit sweep per M
+        assert harmonic._sign_classes(from_matrix([[1, 2, 0], [0, 0, 1]]))[1] == (1, 1, 1)
+
+    def test_class_invariants(self):
+        rng = random.Random(41)
+        for A in [*self.CASES.values(), *(_with_duplicates(rng) for _ in range(40))]:
+            M = from_matrix(A)
+            R, sizes = harmonic._sign_classes(M)
+            assert sum(sizes) == M.n and len(sizes) == R.n, A
+            assert R.d == M.d == rank_int(R.realization.entries), A
+            cols = M.realization.columns()
+            first = [next(i for i, c in enumerate(cols)
+                          if c in (r, tuple(-x for x in r)))
+                     for r in R.realization.columns()]
+            assert first == sorted(set(first)), A
+            assert [cols[i] for i in first] == R.realization.columns(), A
+
+    def test_ten_parallel_feeds_few_rows(self, monkeypatch):
+        fed = []
+
+        def counting_rank(rows, stop_at=None):
+            rows = list(rows)
+            fed.extend(rows)
+            return echelon_rank(rows, stop_at=stop_at)
+
+        monkeypatch.setattr(harmonic, "echelon_rank", counting_rank)
+        assert degree1_dim(from_matrix([[1] * 10])) == 11
+        assert len(fed) <= 11
 
 
 class TestGorenstein:
