@@ -36,7 +36,6 @@ from .matroid import (
 )
 from .zonalg import (
     GradedIdealSpec,
-    HilbertFunction,
     external_spec,
     hilbert,
     internal_spec,
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPolyXY", "CircuitRep", "CocircuitVector", "GorensteinVerdict",
     "GradedCount", "GradedIdealSpec", "GuardExceeded", "HRep",
-    "HilbertFunction", "LaurentQ", "NotUnimodular",
+    "LaurentQ", "NotUnimodular",
     "PolyTQ", "QIVP", "RatSeries", "Realization", "RealizedMatroid",
     "SegreGenerators", "bar_eval", "bar_q", "degree1_dim", "ehr_poly",
     "ehr_tpower", "euler_mahonian", "eval_qivp", "expand", "external_spec",

@@ -121,6 +121,9 @@ def cmd_presentation(M: RealizedMatroid, name: str, args) -> int:
 
 
 def cmd_gorenstein(M: RealizedMatroid, name: str, args) -> int:
+    if not M.is_unimodular():
+        raise InputError("matrix is not unimodular: the Gorenstein "
+                         "classification does not apply")
     verdict = harmonic.gorenstein_classify(M)
     palindrome = None
     if verdict.verdict != harmonic.NOT_GORENSTEIN:
@@ -140,7 +143,6 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
         raise InputError("matrix is not unimodular: the graded Ehrhart "
                          "formulas do not apply")
     m_max = args.m_max
-    thicken = functools.cache(M.thicken)  # one build per m for both checks
 
     checks: list[dict] = []
     witnesses: list[str] = []
@@ -171,9 +173,8 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
             record("zonalg-vs-graded", tag, None)
             continue
         try:
-            thick = thicken(m)
-            ext = zonalg.hilbert(zonalg.external_spec(thick)).as_laurent
-            intr = zonalg.hilbert(zonalg.internal_spec(thick)).as_laurent
+            ext = zonalg.hilbert(zonalg.external_spec(M, m))
+            intr = zonalg.hilbert(zonalg.internal_spec(M, m))
         except GuardExceeded:
             record("zonalg-vs-graded", tag, None)
             continue
@@ -205,7 +206,7 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
 
     for m in range(1, m_max + 1):
         try:
-            lhs = thicken(m).tutte()
+            lhs = M.thicken(m).tutte()
         except GuardExceeded:
             record("thickening", f"m={m}", None)
             continue

@@ -207,9 +207,9 @@ class LaurentQ(_Dense):
     def over_qint(self, k: int) -> "LaurentQ":
         """self / [k]_q = self (1 - q) / (1 - q^k), exactly: running sums with
         stride k of the first differences of self, whose top k entries vanish
-        iff [k]_q divides self; ``ArithmeticError`` when they do not."""
-        if k < 0:
-            raise ValueError("over_qint requires k >= 0")
+        iff [k]_q divides self; ``ArithmeticError`` if not, ``ValueError`` if k < 1."""
+        if k < 1:
+            raise ValueError("over_qint requires k >= 1")
         out = list(map(sub, self.c + (0,), (0,) + self.c))
         for r in range(k):
             out[r::k] = accumulate(out[r::k])

@@ -3,15 +3,16 @@
 The external (resp. internal) zonotopal algebra is the quotient of the
 polynomial ring on d variables by the powers v^(m(v)+1) (resp. v^(m(v)-1))
 of the cocircuit linear forms: the independent algebraic oracle against the
-Tutte-evaluation formulas.
+Tutte-evaluation formulas.  At multiplicity m, m(v) = m|supp v| on M's
+forms: the algebra of the m-thickening, without building it.
 
 The elimination runs in coordinates where d generators are pure powers: d
 independent forms become the variables y_1..y_d, and the quotient is that of
 the box algebra Q[y]/(y_1^(e_1), ..., y_d^(e_d)) by the other generators,
-each rewritten in y.  A linear change of coordinates keeps the graded
-dimensions, so dims[k] is the coefficient of q^k in prod_i [e_i]_q (the box
-monomials of degree k) minus the exact integer rank of the box monomial
-multiples of the other generators, each term outside the box dropped.
+each rewritten in y.  A linear change of coordinates keeps the Hilbert
+series, whose q^k coefficient is that of prod_i [e_i]_q (the box monomials
+of degree k) minus the exact integer rank of the box monomial multiples of
+the other generators, each term outside the box dropped.
 """
 
 from __future__ import annotations
@@ -40,35 +41,24 @@ class GradedIdealSpec:
     generators: tuple[tuple[tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
-    dims: tuple[int, ...]
-
-    @property
-    def as_laurent(self) -> LaurentQ:
-        return LaurentQ(dict(enumerate(self.dims)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
+def external_spec(M: RealizedMatroid, m: int = 1) -> GradedIdealSpec:
+    """Generators v^(m|supp v|+1), one per cocircuit vector, in the
+    coordinates c of the row space: the spec of ``M.thicken(m)``."""
+    return _spec(M, m, +1)
 
 
-def external_spec(M: RealizedMatroid) -> GradedIdealSpec:
-    """Generators v^(m(v)+1), one per cocircuit vector, in the coordinates
-    c of the row space."""
-    return _spec(M, +1)
+def internal_spec(M: RealizedMatroid, m: int = 1) -> GradedIdealSpec:
+    """Generators v^(m|supp v|-1); a coloop of M at m = 1 contributes
+    exponent 0, which makes the quotient zero (degenerate, not an error)."""
+    return _spec(M, m, -1)
 
 
-def internal_spec(M: RealizedMatroid) -> GradedIdealSpec:
-    """Generators v^(m(v)-1); a coloop contributes exponent 0, which makes
-    the quotient zero (flagged degenerate, not an error)."""
-    return _spec(M, -1)
-
-
-def _spec(M: RealizedMatroid, shift: int) -> GradedIdealSpec:
+def _spec(M: RealizedMatroid, m: int, shift: int) -> GradedIdealSpec:
+    if m < 1:
+        raise ValueError("ideal specs require m >= 1")
     if M.d < 1:
         raise ValueError("ideal specs require d >= 1")
-    gens = tuple((cc.c, cc.support_size + shift) for cc in M.cocircuits)
+    gens = tuple((cc.c, m * cc.support_size + shift) for cc in M.cocircuits)
     return GradedIdealSpec(M.d, gens)
 
 
@@ -123,8 +113,8 @@ def _form_power(c: tuple[int, ...], e: int, base: int) -> dict[int, int]:
     return poly
 
 
-def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
-    """Graded dimensions of the quotient by the spanned ideal, in the
+def hilbert(spec: GradedIdealSpec) -> LaurentQ:
+    """Hilbert series of the quotient by the spanned ideal, computed in the
     coordinates of ``_box_coordinates``.
 
     Degree k has the coefficient of q^k in prod_i [e_i]_q as its box
@@ -132,7 +122,7 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
     computation stops at the first zero dimension or at the box's top degree.
     """
     if any(e == 0 for _, e in spec.generators):
-        return HilbertFunction(())
+        return LaurentQ.zero()
     bounds, others = _box_coordinates(spec.variables, spec.generators)
     sizes = functools.reduce(LaurentQ.times_qint, bounds, LaurentQ.one()).terms
     # no digit of a column formed below passes the top degree: nothing carries
@@ -140,7 +130,7 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
     # ordered as _monomials, with O(1) membership
     box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
     expanded = [(_form_power(c, e, base), e) for c, e in others]
-    dims: list[int] = []
+    dims: dict[int, int] = {}
     for k, size in sizes.items():
         if size > MONOMIAL_GUARD:
             raise GuardExceeded(
@@ -151,8 +141,8 @@ def hilbert(spec: GradedIdealSpec) -> HilbertFunction:
         dim = size - echelon_rank(rows, stop_at=size)
         if dim == 0:
             break
-        dims.append(dim)
-    return HilbertFunction(tuple(dims))
+        dims[k] = dim
+    return LaurentQ(dims)
 
 
 def verify_zonotopal(M: RealizedMatroid) -> bool:
@@ -161,5 +151,4 @@ def verify_zonotopal(M: RealizedMatroid) -> bool:
     d, n = M.d, M.n
     ext = M.tutte().q_eval(2, 1, d, -1).shift(n - d)  # 1 + q = [2]_q
     intr = M.tutte().q_eval(0, 1, d, -1).shift(n - d)
-    return (hilbert(external_spec(M)).as_laurent == ext
-            and hilbert(internal_spec(M)).as_laurent == intr)
+    return hilbert(external_spec(M)) == ext and hilbert(internal_spec(M)) == intr

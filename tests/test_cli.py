@@ -103,6 +103,17 @@ class TestGorenstein:
         assert doc["palindrome"] is None
         assert doc["witness"] == [1, 2, 3]
 
+    @pytest.mark.parametrize("matrix", [DIAMOND, [[1, 2, 0], [0, 0, 1]]])
+    def test_not_unimodular_exits_2(self, tmp_path, capsys, matrix):
+        # the classification is a theorem about unimodular zonotopes only
+        path = tmp_path / "nonunimodular.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        code = run(["gorenstein", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unimodular" in captured.err
+
 
 class TestVerify:
     def test_hexagon_passes(self, hexagon_file, capsys):
@@ -236,7 +247,8 @@ class TestInputErrors:
 class TestByteIdentity:
     """The closed-formula commands print exactly what they printed before the
     q-integer kernel rewrite: one SHA-256 over the concatenated stdout of
-    every command on the test corpus and R10."""
+    every command on the test corpus and R10.  A second SHA-256 pins the
+    exit codes and stdout of the oracle-side commands on the same inputs."""
 
     ARGVS = ([["qcount", "--m", str(m)] + flag for m in (1, 2, 3)
               for flag in ([], ["--interior"])]
@@ -252,6 +264,23 @@ class TestByteIdentity:
                 assert run([argv[0], str(path), *argv[1:]]) == 0, (name, argv)
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == self.DIGEST
+
+    # recorded while the zonotopal oracle still eliminated over a thickened
+    # copy of M: reading M at multiplicity m must not move a byte
+    VERIFY_ARGVS = (["verify", "--m-max", "2"], ["tutte"], ["presentation"],
+                    ["gorenstein"])
+    VERIFY_DIGEST = "97817b55bdaff4e96d700f196d746fea88c7289a68344ffb3da404f80a6d5daf"
+
+    def test_verify_side_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        for name, matrix in [*CORPUS_MATRICES.items(), ("R10", R10)]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "matrix": matrix}))
+            for argv in self.VERIFY_ARGVS:
+                code = run([argv[0], str(path), *argv[1:]])
+                digest.update(f"{code}\n".encode())
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.VERIFY_DIGEST
 
 
 class TestParserReuse:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import R10, graphic, reference_hilbert_dims, sweep_matrices
+from conftest import CORPUS_MATRICES, R10, graphic, reference_hilbert_dims, sweep_matrices
 from zonoq import (
     GradedIdealSpec,
     GuardExceeded,
@@ -21,6 +21,10 @@ from zonoq.exact import LaurentQ
 from zonoq.zonalg import _box_coordinates, _monomials
 
 
+def reference_series(spec):
+    return LaurentQ(dict(enumerate(reference_hilbert_dims(spec))))
+
+
 class TestSpecs:
     def test_hexagon_external(self, hexagon):
         spec = external_spec(hexagon)
@@ -30,13 +34,12 @@ class TestSpecs:
     def test_hexagon_internal(self, hexagon):
         spec = internal_spec(hexagon)
         assert sorted(e for _, e in spec.generators) == [1, 1, 1]
-        assert hilbert(spec).dims == (1,)
+        assert hilbert(spec) == LaurentQ.one()
 
     def test_coloop_internal_is_zero_quotient(self):
         spec = internal_spec(from_matrix([[1]]))
         assert spec.generators == (((1,), 0),)
-        hf = hilbert(spec)
-        assert hf.dims == () and hf.as_laurent == LaurentQ.zero()
+        assert hilbert(spec) == LaurentQ.zero()
 
     def test_d0_rejected(self):
         with pytest.raises(ValueError):
@@ -50,6 +53,28 @@ class TestSpecs:
             assert internal_spec(M).generators == tuple(
                 (cc.c, cc.support_size - 1) for cc in M.cocircuits)
 
+    def test_multiplicity_is_the_thickening(self):
+        # the m-thickening has M's hyperplanes, each cocircuit m times as
+        # large: its specs are M's forms at exponents m|supp v| +- 1, in order
+        mats = [*CORPUS_MATRICES.values(), R10, *sweep_matrices()]
+        checked, unimodular = 0, set()
+        for A in mats:
+            M = from_matrix(A)
+            for m in range(1, 16 // M.n + 1):
+                thick = M.thicken(m)
+                assert external_spec(M, m) == external_spec(thick), (A, m)
+                assert internal_spec(M, m) == internal_spec(thick), (A, m)
+                checked += 1
+                unimodular.add(M.is_unimodular())
+        assert checked > 1500 and unimodular == {True, False}
+
+    @pytest.mark.parametrize("spec", [external_spec, internal_spec])
+    def test_multiplicity_below_one_rejected(self, hexagon, spec):
+        with pytest.raises(ValueError, match=r"^ideal specs require m >= 1$"):
+            spec(hexagon, 0)
+        with pytest.raises(ValueError):
+            spec(hexagon, -1)
+
 
 K4 = graphic(4, list(itertools.combinations(range(4), 2)))
 # d = 4: a 4-cycle with a pendant vertex and two chords
@@ -59,14 +84,13 @@ GRAPHIC_D4 = graphic(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)]
 class TestHilbert:
     def test_hexagon_external(self, hexagon):
         hf = hilbert(external_spec(hexagon))
-        assert hf.dims == (1, 2, 3, 1)
-        assert hf.as_laurent == LaurentQ({0: 1, 1: 2, 2: 3, 3: 1})
-        assert hf.total == 7
+        assert hf == LaurentQ({0: 1, 1: 2, 2: 3, 3: 1})
+        assert hf.eval_at_one() == 7
 
     def test_univariate_square(self):
         # C[x] / (x^2)
         spec = GradedIdealSpec(1, (((1,), 2),))
-        assert hilbert(spec).dims == (1, 1)
+        assert hilbert(spec) == LaurentQ({0: 1, 1: 1})
 
     def test_generator_order_and_scaling_invariance(self, hexagon):
         spec = external_spec(hexagon)
@@ -75,9 +99,9 @@ class TestHilbert:
         scaled = GradedIdealSpec(
             spec.variables,
             tuple((tuple(-2 * x for x in c), e) for c, e in spec.generators))
-        expected = hilbert(spec).dims
-        assert hilbert(reordered).dims == expected
-        assert hilbert(scaled).dims == expected
+        expected = hilbert(spec)
+        assert hilbert(reordered) == expected
+        assert hilbert(scaled) == expected
 
     @pytest.mark.parametrize("name", ["hexagon", "K4", "graphic_d4"])
     def test_dims_independent_of_generator_order(self, hexagon, name):
@@ -85,12 +109,12 @@ class TestHilbert:
              "graphic_d4": from_matrix(GRAPHIC_D4)}[name]
         rng = random.Random(61)
         for spec in (external_spec(M), internal_spec(M)):
-            expected = hilbert(spec).dims
+            expected = hilbert(spec)
             for _ in range(4):
                 gens = list(spec.generators)
                 rng.shuffle(gens)
                 shuffled = GradedIdealSpec(spec.variables, tuple(gens))
-                assert hilbert(shuffled).dims == expected, name
+                assert hilbert(shuffled) == expected, name
 
     def test_monomial_guard_names_value(self):
         # x_1^3, ..., x_20^3: the box is the whole quotient, and its degree 6
@@ -106,9 +130,9 @@ class TestHilbert:
     def test_external_starts_at_one_and_counts_points(self, corpus):
         for name, M in corpus.items():
             hf = hilbert(external_spec(M))
-            assert hf.dims[0] == 1, name
-            assert hf.total == M.tutte().eval_int(2, 1), name
-            assert hf.total == lattice_count(M, 1), name
+            assert hf.coeff(0) == 1, name
+            assert hf.eval_at_one() == M.tutte().eval_int(2, 1), name
+            assert hf.eval_at_one() == lattice_count(M, 1), name
 
 
 class TestColumnCoding:
@@ -134,7 +158,7 @@ class TestColumnCoding:
                     continue
                 thick = M.thicken(m)
                 for spec in (external_spec(thick), internal_spec(thick)):
-                    assert hilbert(spec).dims == reference_hilbert_dims(spec), (name, m)
+                    assert hilbert(spec) == reference_series(spec), (name, m)
                     checked += 1
         assert checked > 40
 
@@ -151,7 +175,8 @@ class TestBoxCoordinates:
         assert _box_coordinates(3, gens) == (
             [2, 3, 3], [((1, 0, 0), 2), ((1, -1, 1), 4)])
         spec = GradedIdealSpec(3, gens)
-        assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 5, 5, 2)
+        assert reference_hilbert_dims(spec) == (1, 3, 5, 5, 2)
+        assert hilbert(spec) == reference_series(spec)
 
     def test_terms_outside_the_box_are_dropped(self):
         # Q[x, y, z] / (x^3, y^3, z^3, (x - y)^3): modulo the cubes, both
@@ -159,7 +184,8 @@ class TestBoxCoordinates:
         # one dimension; rows that kept x^3 yz and x y^3 z would lose it
         spec = GradedIdealSpec(3, (((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
                                    ((1, -1, 0), 3)))
-        assert hilbert(spec).dims == reference_hilbert_dims(spec) == (1, 3, 6, 6, 4, 1)
+        assert reference_hilbert_dims(spec) == (1, 3, 6, 6, 4, 1)
+        assert hilbert(spec) == reference_series(spec)
 
     @pytest.mark.parametrize("spec", [
         GradedIdealSpec(2, (((1, 1), 2), ((-2, -2), 3))),
@@ -184,7 +210,7 @@ class TestBoxCoordinates:
                         spec.generators, rng.choices((-3, -2, 2, 3), k=len(spec.generators)))]
                     rng.shuffle(gens)
                     spec = GradedIdealSpec(spec.variables, tuple(gens))
-                    assert hilbert(spec).dims == reference_hilbert_dims(spec), (A, m)
+                    assert hilbert(spec) == reference_series(spec), (A, m)
                     checked += 1
                     unimodular.add(M.is_unimodular())
         assert checked > 150 and unimodular == {True, False}
@@ -196,13 +222,13 @@ class TestVersusTutte:
 
     def test_boolean2(self, corpus):
         M = corpus["boolean2"]
-        assert hilbert(external_spec(M)).as_laurent == LaurentQ({0: 1, 1: 2, 2: 1})
+        assert hilbert(external_spec(M)) == LaurentQ({0: 1, 1: 2, 2: 1})
         assert verify_zonotopal(M)
 
     def test_u12(self, corpus):
         M = corpus["u12"]
-        assert hilbert(external_spec(M)).as_laurent == LaurentQ({0: 1, 1: 1, 2: 1})
-        assert hilbert(internal_spec(M)).as_laurent == LaurentQ.one()
+        assert hilbert(external_spec(M)) == LaurentQ({0: 1, 1: 1, 2: 1})
+        assert hilbert(internal_spec(M)) == LaurentQ.one()
         assert verify_zonotopal(M)
 
     def test_corpus(self, corpus):
@@ -215,8 +241,8 @@ class TestR10:
     def test_m1_matches_graded_count(self):
         # the regular matroid that is neither graphic nor cographic
         M = from_matrix(R10)
-        assert hilbert(external_spec(M)).as_laurent == graded_count(M, 1).value
-        assert hilbert(internal_spec(M)).as_laurent == \
+        assert hilbert(external_spec(M)) == graded_count(M, 1).value
+        assert hilbert(internal_spec(M)) == \
             graded_count(M, 1, interior=True).value
 
 
@@ -230,7 +256,7 @@ class TestOrbitHarmonicsOracle:
         for name, M in corpus.items():
             if M.n * m > 12 or M.d < 1:
                 continue
-            got = hilbert(external_spec(M.thicken(m))).as_laurent
+            got = hilbert(external_spec(M.thicken(m)))
             assert got == graded_count(M, m).value, (name, m)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -238,7 +264,7 @@ class TestOrbitHarmonicsOracle:
         for name, M in corpus.items():
             if M.n * m > 12 or M.d < 1:
                 continue
-            got = hilbert(internal_spec(M.thicken(m))).as_laurent
+            got = hilbert(internal_spec(M.thicken(m)))
             assert got == graded_count(M, m, interior=True).value, (name, m)
 
     def test_random_unimodular_matrices(self):
@@ -259,9 +285,9 @@ class TestOrbitHarmonicsOracle:
             checked += 1
             for m in (1, 2):
                 thick = M.thicken(m)
-                assert hilbert(external_spec(thick)).as_laurent == \
+                assert hilbert(external_spec(thick)) == \
                     graded_count(M, m).value, entries
-                assert hilbert(internal_spec(thick)).as_laurent == \
+                assert hilbert(internal_spec(thick)) == \
                     graded_count(M, m, interior=True).value, entries
                 assert graded_count(M, m).value.eval_at_one() == \
                     lattice_count(M, m), entries
