@@ -8,7 +8,6 @@ from .gehrhart import (
     bar_eval,
     ehr_poly,
     ehr_tpower,
-    eval_qivp,
     graded_count,
     interior_series,
     qivp_bar_series,
@@ -51,7 +50,7 @@ __all__ = [
     "LaurentQ", "NotUnimodular",
     "PolyTQ", "QIVP", "RatSeries", "Realization", "RealizedMatroid",
     "SegreGenerators", "bar_eval", "bar_q", "degree1_dim", "ehr_poly",
-    "ehr_tpower", "euler_mahonian", "eval_qivp", "expand", "external_spec",
+    "ehr_tpower", "euler_mahonian", "expand", "external_spec",
     "from_matrix", "gorenstein_classify", "graded_count", "graded_hilbert",
     "h_rep", "hilbert", "interior_series", "internal_spec", "lattice_count",
     "palindrome_check", "qbinom", "qivp_bar_series",

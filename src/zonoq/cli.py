@@ -11,7 +11,7 @@ Input document:
     {"name": "hexagon", "d": 2, "n": 3, "matrix": [[1, 0, 1], [0, 1, 1]]}
 
 ``name`` (a string), ``d`` and ``n`` (integers) are optional; entries may be
-integers or decimal strings (arbitrary precision).
+integers or ASCII decimal strings ``[+-]?[0-9]+`` (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -51,7 +52,7 @@ def load_matroid(path: str) -> tuple[RealizedMatroid, str]:
     def to_int(v):
         if isinstance(v, int) and not isinstance(v, bool):
             return v
-        if isinstance(v, str):
+        if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+", v):
             return int(v)
         raise ValueError(f"{v!r} is not an integer or decimal string")
 

@@ -313,13 +313,6 @@ class PolyTQ(_Dense):
         """Degree in t; -1 for the zero polynomial."""
         return self.lo + len(self.c) - 1 if self.c else -1
 
-    def eval_qint(self, m: int) -> LaurentQ:
-        """Substitute t := [m]_q, by Horner's rule with ``times_qint``."""
-        out = LaurentQ.zero()
-        for g in [*reversed(self.c)] + [out] * self.lo:  # lo zeros below c
-            out = out.times_qint(m) + g
-        return out
-
     def t_reverse_bar(self, top: int) -> "PolyTQ":
         """Return t^top * self(1/t, 1/q); requires top >= t-degree."""
         if self.c and top < self.t_degree():

@@ -16,8 +16,10 @@ sums on it or on shifts, with no product of two polynomials.
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
 the bar involution q -> 1/q, t -> -qt, and rational generating functions all
-have closed forms.  Its basis coefficients (a q-difference table of values)
-and both series numerators (Horner's rule) take subtractions and shifts only.
+have closed forms.  Its basis coefficients come from the t-power form by
+Horner's rule, t sum_k F_k binom(x,k)_q = sum_k [k]_q (F_k + q^(k-1) F_(k-1))
+binom(x,k)_q at t = [x]_q, and both series numerators by Horner's rule over
+the denominator's factors: shifts, sums and ``times_qint`` only.
 
 Graded counts, the Ehrhart polynomial (both forms) and both series are built
 once per matroid and shared by every caller (see ``matroid.invariant``).
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnimodular
-from .exact import LaurentQ, PolyTQ, RatSeries, qbinom
+from .exact import LaurentQ, PolyTQ, RatSeries
 from .matroid import RealizedMatroid, invariant
 
 
@@ -97,34 +99,24 @@ def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
 
 @invariant
 def ehr_poly(M: RealizedMatroid) -> QIVP:
-    """The graded Ehrhart polynomial in the q-binomial basis, interpolated
-    from the values of its t-power form at t = [0]_q, ..., [n]_q."""
-    tp = ehr_tpower(M)
-    return _interpolate([tp.eval_qint(m) for m in range(M.n + 1)])
+    """The graded Ehrhart polynomial in the q-binomial basis, converted from
+    its t-power form by Horner's rule (see ``_qbinomial_coeffs``)."""
+    return QIVP(_qbinomial_coeffs(ehr_tpower(M), M.n), M.n)
 
 
-def _interpolate(values: list[LaurentQ]) -> QIVP:
-    """The QIVP of degree D = len(values) - 1 with value values[m] at [m]_q.
+def _qbinomial_coeffs(p: PolyTQ, D: int) -> tuple[LaurentQ, ...]:
+    """F_0, ..., F_D with p([x]_q) = sum_k F_k binom(x,k)_q, t-degree of p <= D.
 
-    By q-Pascal, binom(m+1,k)_q = q^(m+1-k) binom(m,k-1)_q + binom(m,k)_q, so
-    q^(-m) (v_(m+1) - v_m) has basis coefficients f_(k+1) q^(-k): row k of
-    that q-difference table starts with f_k q^(-k(k-1)/2).
+    Horner's rule over the t-coefficients of p: by [x]_q = [k]_q + q^k [x-k]_q
+    and [x-k]_q binom(x,k)_q = [k+1]_q binom(x,k+1)_q, multiplying by t maps
+    F_k to [k]_q (F_k + q^(k-1) F_(k-1)), and F_0 to 0.
     """
-    row, coeffs = values, []
-    for k in range(len(values)):
-        coeffs.append(row[0].shift(k * (k - 1) // 2))
-        row = [(b - a).shift(-m) for m, (a, b) in enumerate(zip(row, row[1:]))]
-    return QIVP(tuple(coeffs), len(values) - 1)
-
-
-def eval_qivp(P: QIVP, m: int) -> LaurentQ:
-    """Value at t = [m]_q: sum_k f_k(q) binom(m, k)_q."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    out = LaurentQ.zero()
-    for k, f in enumerate(P.basis_coeffs):
-        out = out + f * qbinom(m, k)
-    return out
+    zero = LaurentQ.zero()
+    F: list[LaurentQ] = []
+    for g in [*reversed(p.c)] + [zero] * p.lo:  # lo zeros below c
+        F = [g, *((a + b.shift(k - 1)).times_qint(k)
+                  for k, (a, b) in enumerate(zip(F[1:] + [zero], F), 1))]
+    return tuple(F + [zero] * (D + 1 - len(F)))
 
 
 def bar_eval(P: QIVP, m: int) -> LaurentQ:
@@ -150,11 +142,13 @@ def bar_eval(P: QIVP, m: int) -> LaurentQ:
 def _over_denominator(terms: list[tuple[int, LaurentQ]]) -> PolyTQ:
     """sum_k t^(e_k) g_k prod_{i=k+1}^{D} (1 - t q^i), (e_k, g_k) = terms[k],
     D = len(terms) - 1, by Horner's rule acc <- acc (1 - t q^k) + t^(e_k) g_k:
-    a t-shift and a q-shift per step, never a product (e_k <= D + 1)."""
+    a t-shift and a q-shift per step, never a product.  ``acc`` holds only
+    the live prefix: one entry more per step, and up to t^(e_k)."""
     zero = LaurentQ.zero()
-    acc = [zero] * (len(terms) + 1)  # coefficients of t^0, ..., t^(D+1)
+    acc: list[LaurentQ] = []
     for k, (e, g) in enumerate(terms):
-        acc = [a - b.shift(k) for a, b in zip(acc, [zero] + acc)]
+        acc = [a - b.shift(k) for a, b in zip(acc + [zero], [zero] + acc)]
+        acc += [zero] * (e + 1 - len(acc))
         acc[e] = acc[e] + g
     return PolyTQ(enumerate(acc))
 

@@ -177,11 +177,12 @@ def gorenstein_classify(M: RealizedMatroid) -> GorensteinVerdict:
 
 def numerator_palindrome(num: PolyTQ, n: int, d: int, boolean: bool) -> bool:
     """The quantum-palindromic coefficient identity on a series numerator:
-    g_k = q^C(n,2) bar(g_(n-k-1)) in the Boolean case and
+    g_k = q^C(n,2) bar(g_(top-k)) in the Boolean case, top = max(n-1, 0)
+    (the 0-cube's numerator A_0 = 1 has degree 0), and
     g_k = (-1)^(n+d) q^(C(n+1,2)-d) bar(g_(n-k)) otherwise."""
     if boolean:
-        shift = n * (n - 1) // 2
-        return all(num.coeff(k) == num.coeff(n - 1 - k).bar().shift(shift)
+        shift, top = n * (n - 1) // 2, max(n - 1, 0)
+        return all(num.coeff(k) == num.coeff(top - k).bar().shift(shift)
                    for k in range(n + 1))
     shift = n * (n + 1) // 2 - d
     sign = -1 if (n + d) % 2 else 1

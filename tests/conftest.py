@@ -1,10 +1,12 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
 elimination, subset-enumerated circuits, the per-minor Tutte recursion,
-dict polynomial arithmetic, the bounding-box lattice scan, product-based
-q-binomial interpolation and series numerators, the product forms of the
-q-integer kernels, tuple-indexed zonotopal elimination, and the harmonic
-presentation over 2^n subset variables and over the uniform Segre box."""
+dict polynomial arithmetic, the bounding-box lattice scan, evaluation of
+both Ehrhart forms at [m]_q, q-binomial interpolation by a q-difference
+table and by products, product-based series numerators, the product forms
+of the q-integer kernels, tuple-indexed zonotopal elimination, and the
+harmonic presentation over 2^n subset variables and over the uniform Segre
+box."""
 
 import functools
 import itertools
@@ -13,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from zonoq import from_matrix, h_rep, segre_generators
-from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
+from zonoq import QIVP, from_matrix, h_rep, segre_generators
+from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, qbinom
 from zonoq.linalg import (echelon_rank, nullspace_primitive, primitive_vector,
                           rank_int, rref_int)
 from zonoq.matroid import _column_to_e1
@@ -355,6 +357,38 @@ def product_tutte_thickened(T, d, m):
     Q = BiPolyXY({(0, b): 1 for b in range(m)})
     return sum((P ** a * Q ** (d - a) * BiPolyXY.monomial(0, m * b, c)
                 for (a, b), c in T.items()), BiPolyXY.zero())
+
+
+def eval_qint(p, m):
+    """A PolyTQ at t := [m]_q, by Horner's rule with ``times_qint``."""
+    out = LaurentQ.zero()
+    for g in [*reversed(p.c)] + [out] * p.lo:  # lo zeros below c
+        out = out.times_qint(m) + g
+    return out
+
+
+def eval_qivp(P: QIVP, m: int) -> LaurentQ:
+    """Value at t = [m]_q: sum_k f_k(q) binom(m, k)_q."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    out = LaurentQ.zero()
+    for k, f in enumerate(P.basis_coeffs):
+        out = out + f * qbinom(m, k)
+    return out
+
+
+def qdifference_interpolation(values):
+    """The QIVP of degree D = len(values) - 1 with value values[m] at [m]_q.
+
+    By q-Pascal, binom(m+1,k)_q = q^(m+1-k) binom(m,k-1)_q + binom(m,k)_q, so
+    q^(-m) (v_(m+1) - v_m) has basis coefficients f_(k+1) q^(-k): row k of
+    that q-difference table starts with f_k q^(-k(k-1)/2).
+    """
+    row, coeffs = values, []
+    for k in range(len(values)):
+        coeffs.append(row[0].shift(k * (k - 1) // 2))
+        row = [(b - a).shift(-m) for m, (a, b) in enumerate(zip(row, row[1:]))]
+    return QIVP(tuple(coeffs), len(values) - 1)
 
 
 def triangular_interpolation(values):

@@ -103,6 +103,15 @@ class TestGorenstein:
         assert doc["palindrome"] is None
         assert doc["witness"] == [1, 2, 3]
 
+    def test_point_zonotope_is_palindromic(self, tmp_path, capsys):
+        # n = d = 0: the numerator 1 over 1 - t is palindromic in degree 0
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"matrix": []}))
+        code, doc = run_json(capsys, ["gorenstein", str(path)])
+        assert code == 0
+        assert doc["verdict"] == "boolean"
+        assert doc["palindrome"] is True
+
     @pytest.mark.parametrize("matrix", [DIAMOND, [[1, 2, 0], [0, 0, 1]]])
     def test_not_unimodular_exits_2(self, tmp_path, capsys, matrix):
         # the classification is a theorem about unimodular zonotopes only
@@ -236,6 +245,17 @@ class TestInputErrors:
         code, doc = run_json(capsys, ["tutte", str(path)])
         assert code == 0
         assert doc["tutte"] == [[2, 0, "1"]]
+
+    @pytest.mark.parametrize("entry", ["1_0", " 1 ", "\u0661"])
+    def test_non_ascii_decimal_strings_rejected(self, tmp_path, capsys, entry):
+        # int() would read these as 10, 1 and 1 (an Arabic-Indic digit one)
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"matrix": [[entry, "1"]]}))
+        code = run(["tutte", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"matrix entries must be integers: {entry!r}" in captured.err
 
     def test_float_entries_rejected(self, tmp_path, capsys):
         path = tmp_path / "floats.json"

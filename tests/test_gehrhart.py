@@ -9,14 +9,18 @@ from conftest import (
     CORPUS_MATRICES,
     DIAMOND,
     R10,
+    eval_qint,
+    eval_qivp,
     graphic,
     product_bar_eval,
     product_ehr_tpower,
     product_eval_t,
     product_graded_count,
+    qdifference_interpolation,
     tails_bar_series_numerator,
     tails_series_numerator,
     triangular_interpolation,
+    unimodular_suite,
 )
 from zonoq import (
     NotUnimodular,
@@ -24,7 +28,6 @@ from zonoq import (
     bar_eval,
     ehr_poly,
     ehr_tpower,
-    eval_qivp,
     expand,
     from_matrix,
     graded_count,
@@ -37,7 +40,7 @@ from zonoq import (
     tutte_count,
 )
 from zonoq.exact import LaurentQ, PolyTQ
-from zonoq.gehrhart import _interpolate
+from zonoq.gehrhart import _over_denominator, _qbinomial_coeffs
 
 HEX_COUNT_M1 = LaurentQ({0: 1, 1: 2, 2: 3, 3: 1})
 HEX_NUMERATOR = PolyTQ({
@@ -266,12 +269,16 @@ class TestQuantumReciprocityFormal:
 
 
 class TestAgainstProductReferences:
-    """The q-difference table and the Horner numerators against triangular
-    interpolation and the sums of tails products they replaced."""
+    """The Horner basis conversion and the Horner numerators against the
+    q-difference table, triangular interpolation of product-evaluated values
+    and the sums of tails products, on the corpus, R10, K4, K5 and the
+    unimodular sweep matrices."""
 
     @pytest.fixture(scope="class")
-    def matroids(self, corpus):
-        return {**corpus, "R10": from_matrix(R10)}
+    def matroids(self):
+        suite = unimodular_suite()
+        assert len(suite) > 100
+        return {repr(M.realization): M for M in suite}
 
     def test_ehr_poly_is_triangular_interpolation(self, matroids):
         for name, M in matroids.items():
@@ -296,11 +303,32 @@ class TestAgainstProductReferences:
                 negative_exponents += sum(1 for f in coeffs if not f.is_polynomial())
                 P = QIVP(coeffs, degree)
                 values = [eval_qivp(P, m) for m in range(degree + 1)]
-                assert _interpolate(values) == P
+                assert qdifference_interpolation(values) == P
                 assert triangular_interpolation(values) == coeffs
                 assert qivp_series(P).numerator == tails_series_numerator(P)
                 assert qivp_bar_series(P).numerator == tails_bar_series_numerator(P)
         assert zero_coeffs > 10 and negative_exponents > 10
+
+    def test_qbinomial_coeffs_random_polytqs(self):
+        rng = random.Random(53)
+        gaps = negative_exponents = 0
+        for D in range(13):
+            for _ in range(4):
+                top = rng.randint(-1, D)
+                p = PolyTQ({k: LaurentQ.zero() if rng.random() < 0.3 else rand_laurent(rng)
+                            for k in range(top + 1)})
+                gaps += sum(1 for k in range(p.t_degree()) if not p.coeff(k))
+                negative_exponents += sum(1 for g in p.c if g.lo < 0)
+                values = [product_eval_t(p, LaurentQ.q_int(m)) for m in range(D + 1)]
+                assert _qbinomial_coeffs(p, D) == triangular_interpolation(values), (D, p)
+        assert gaps > 10 and negative_exponents > 10
+
+    def test_over_denominator_high_first_exponent(self):
+        # a first term above the later ones: the live prefix reaches t^(e_0) at once
+        g = LaurentQ.q_power(-1, 3)
+        expected = PolyTQ.t_power(3, g) * PolyTQ({0: LaurentQ.one(), 1: LaurentQ.q_power(1, -1)}) \
+            + PolyTQ.one()
+        assert _over_denominator([(3, g), (0, LaurentQ.one())]) == expected
 
 
 class TestAgainstQintProductReferences:
@@ -327,7 +355,7 @@ class TestAgainstQintProductReferences:
             tp, P = ehr_tpower(M), ehr_poly(M)
             for m in range(M.n + 3):
                 value = product_eval_t(tp, LaurentQ.q_int(m))
-                assert tp.eval_qint(m) == value, (name, m)
+                assert eval_qint(tp, m) == value, (name, m)
                 assert eval_qivp(P, m) == value, (name, m)
 
     def test_bar_eval(self, matroids):

@@ -350,6 +350,13 @@ class TestPalindrome:
             if EXPECTED_VERDICT[name] != NOT_GORENSTEIN:
                 assert palindrome_check(M), name
 
+    def test_point_zonotope(self):
+        # the 0-cube: numerator A_0 = 1 over 1 - t, palindromic in degree 0
+        M = from_matrix([])
+        assert series(M).numerator == PolyTQ.one()
+        assert numerator_palindrome(PolyTQ.one(), 0, 0, boolean=True)
+        assert palindrome_check(M)
+
     def test_precondition(self, corpus):
         with pytest.raises(ValueError):
             palindrome_check(corpus["u13"])
