@@ -9,7 +9,9 @@ closed-formula path and the thickenings read cocircuits only, and circuits
 serve only the harmonic presentation.
 
 Both come from one integer sweep over (d-1)-subsets of columns, whose
-one-dimensional left kernels are the hyperplane normals.  Run on A it gives
+one-dimensional left kernels are the hyperplane normals; subsets inside a
+hyperplane already found are skipped by ANDing one bitset per column, whose
+bit h says that hyperplane h holds the column.  Run on A it gives
 the cocircuits, and unimodularity is read off them (A is unimodular iff
 every cocircuit vector lies in {0, +-1}^n); run on a kernel basis of A, which
 realizes the dual matroid, it gives the circuits.  Connected components are
@@ -27,8 +29,9 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import GuardExceeded
 from .exact import BiPolyXY, LaurentQ
@@ -117,8 +120,8 @@ class Component:
 
 
 class RealizedMatroid:
-    """Matroid of an integer matrix, with cached rank queries and derived
-    invariants (unimodularity, Tutte polynomial, Ehrhart data).
+    """Matroid of an integer matrix, with cached derived invariants
+    (unimodularity, Tutte polynomial, Ehrhart data).
 
     Immutable after construction; all caches are written once per key, so
     read-only sharing across workers is safe.  Cached values are handed to
@@ -127,7 +130,6 @@ class RealizedMatroid:
 
     def __init__(self, realization: Realization):
         self.realization = realization
-        self._rank_cache: dict[frozenset, int] = {}
         self._derived: dict[object, object] = {}  # written by @invariant
 
     @property
@@ -148,22 +150,6 @@ class RealizedMatroid:
     @functools.cached_property
     def cocircuits(self) -> tuple[CocircuitVector, ...]:
         return _find_cocircuits(self.realization)
-
-    # -- rank ---------------------------------------------------------------
-
-    def rank(self, subset: Iterable[int]) -> int:
-        key = frozenset(subset)
-        if not all(0 <= j < self.n for j in key):
-            raise ValueError("subset out of range")
-        cached = self._rank_cache.get(key)
-        if cached is None:
-            cached = rank_int([self.realization.column(j) for j in sorted(key)])
-            self._rank_cache[key] = cached
-        return cached
-
-    def loops(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n)
-                     if not any(self.realization.column(j)))
 
     def coloops(self) -> tuple[int, ...]:
         """The pivot columns of ``rref_int(A)`` whose row is zero off the
@@ -302,28 +288,31 @@ def _find_cocircuits(rz: Realization) -> tuple[CocircuitVector, ...]:
 
     The subset spans a hyperplane iff the vectors c with c^T a_j = 0 on it
     form a line; ``nullspace_primitive`` then gives its primitive normal c,
-    and v = c^T A.  Subsets inside a hyperplane already found are skipped.
+    and v = c^T A.  Subsets inside a hyperplane already found are skipped:
+    bit h of ``holds[j]`` says that hyperplane h holds column j, so the AND
+    of ``holds`` over a subset is nonzero iff some hyperplane holds it all.
     """
-    d, n, rows = rz.d, rz.n, rz.entries
+    d, n = rz.d, rz.n
     if d == 0:
         return ()
     cols = rz.columns()
     found: list[CocircuitVector] = []
-    zero_sets: list[int] = []  # bitmask of the columns each hyperplane holds
+    holds = [0] * n  # bit h of holds[j]: hyperplane h contains column j
     for combo in itertools.combinations(range(n), d - 1):
-        mask = sum(1 << j for j in combo)
-        if any(mask & z == mask for z in zero_sets):
+        if functools.reduce(operator.and_, map(holds.__getitem__, combo),
+                            (1 << len(found)) - 1):
             continue
         normals = nullspace_primitive([cols[j] for j in combo], d)
         if len(normals) != 1:
             continue
         c = normals[0]
-        v = [sum(c[i] * rows[i][j] for i in range(d)) for j in range(n)]
+        v = [sum(map(operator.mul, c, col)) for col in cols]
         if next(x for x in v if x) < 0:
             c = tuple(-x for x in c)
             v = [-x for x in v]
+        bit = 1 << len(found)
+        holds = [h if x else h | bit for h, x in zip(holds, v)]
         found.append(CocircuitVector(tuple(v), c, sum(1 for x in v if x)))
-        zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
     return tuple(sorted(found, key=lambda cc: cc.v))
 
 

@@ -1,16 +1,18 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
-elimination, subset-enumerated circuits, the per-minor Tutte recursion,
-dict polynomial arithmetic, the bounding-box lattice scan, evaluation of
-both Ehrhart forms at [m]_q, q-binomial interpolation by a q-difference
-table and by products, product-based series numerators, the product forms
-of the q-integer kernels, tuple-indexed zonotopal elimination, and the
-harmonic presentation over 2^n subset variables and over the uniform Segre
-box."""
+elimination, subset-enumerated circuits, subset ranks and loops, the
+hyperplane sweep's skip rule as a list of zero sets, the per-minor Tutte
+recursion, dict polynomial arithmetic, the bounding-box lattice scan,
+evaluation of both Ehrhart forms at [m]_q, q-binomial interpolation by a
+q-difference table and by products, product-based series numerators, the
+product forms of the q-integer kernels, tuple-indexed zonotopal
+elimination, and the harmonic presentation over 2^n subset variables and
+over the uniform Segre box."""
 
 import functools
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,18 @@ def graphic(vertices, edges):
     (connected graph: full row rank, totally unimodular)."""
     return [[(1 if u == v else -1 if w == v else 0) for u, w in edges]
             for v in range(vertices - 1)]
+
+
+def cographic(vertices, edges):
+    """[-D^T | I] from ``graphic(vertices, edges)`` = [I | D] up to row
+    operations, the first vertices-1 edges being a spanning tree: a totally
+    unimodular realization of the dual of the graphic matroid."""
+    d = vertices - 1
+    pivots, R = fraction_rref(graphic(vertices, edges), len(edges))
+    assert pivots == list(range(d))
+    return [[-int(R[i][d + k]) for i in range(d)]
+            + [int(k == l) for l in range(len(edges) - d)]
+            for k in range(len(edges) - d)]
 
 
 def sweep_matrices():
@@ -139,6 +153,45 @@ def reference_circuits(rz):
                 assert len(kern) == 1, combo
                 circuits.append((combo, kern[0]))
     return circuits
+
+
+def reference_sweep_eliminations(rz):
+    """How many (d-1)-subsets of columns the hyperplane sweep of a
+    Realization hands to ``nullspace_primitive``, by its skip rule as a list
+    of zero sets: a subset is skipped iff its column mask lies inside the
+    zero set of a hyperplane found before it in enumeration order."""
+    cols = rz.columns()
+    zero_sets, calls = [], 0
+    for combo in itertools.combinations(range(rz.n), rz.d - 1):
+        mask = sum(1 << j for j in combo)
+        if any(mask & z == mask for z in zero_sets):
+            continue
+        calls += 1
+        normals = nullspace_primitive([cols[j] for j in combo], rz.d)
+        if len(normals) == 1:
+            v = [sum(a * b for a, b in zip(normals[0], col)) for col in cols]
+            zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
+    return calls
+
+
+_RANK_CACHES = weakref.WeakKeyDictionary()  # matroid -> {frozenset: rank}
+
+
+def reference_rank(M, subset):
+    """Rank of the columns of M in ``subset``, by ``rank_int`` on those
+    columns, cached per matroid and subset."""
+    key = frozenset(subset)
+    if not all(0 <= j < M.n for j in key):
+        raise ValueError("subset out of range")
+    cache = _RANK_CACHES.setdefault(M, {})
+    if key not in cache:
+        cache[key] = rank_int([M.realization.column(j) for j in sorted(key)])
+    return cache[key]
+
+
+def reference_loops(M):
+    """The zero columns of M."""
+    return tuple(j for j in range(M.n) if not any(M.realization.column(j)))
 
 
 def reference_components(n, circuits):

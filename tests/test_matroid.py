@@ -9,16 +9,25 @@ import random
 import pytest
 
 import zonoq.matroid as matroid
-from conftest import (CORPUS_MATRICES, DIAMOND, R10, fraction_kernel, graphic,
-                      product_tutte_thickened, reference_circuits,
-                      reference_components, reference_tutte, sweep_matrices)
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, cographic, fraction_kernel,
+                      graphic, product_tutte_thickened, reference_circuits,
+                      reference_components, reference_loops, reference_rank,
+                      reference_sweep_eliminations, reference_tutte,
+                      sweep_matrices)
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
-from zonoq.linalg import det_int, rref_int
+from zonoq.linalg import det_int, nullspace_primitive, rank_int, rref_int
 
 K4 = graphic(4, list(itertools.combinations(range(4), 2)))
 K5 = graphic(5, list(itertools.combinations(range(5), 2)))
+K6 = graphic(6, list(itertools.combinations(range(6), 2)))
+CUBE6X12 = [[int(i == j % 6) for j in range(12)] for i in range(6)]
+BOOLEAN8 = [[int(i == j) for j in range(8)] for i in range(8)]
+# d = 7, n = 12: the dual of a 6-vertex graph with 12 edges, a spanning path
+# first
+COGRAPHIC_7X12 = cographic(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2),
+                               (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 5)])
 
 # fresh matroids per call, so no Tutte polynomial is cached on them yet
 TUTTE_REFERENCE_CASES = {
@@ -34,7 +43,7 @@ TUTTE_REFERENCE_CASES = {
 def brute_independent_sets(M) -> int:
     return sum(1 for r in range(M.n + 1)
                for S in itertools.combinations(range(M.n), r)
-               if M.rank(S) == r)
+               if reference_rank(M, S) == r)
 
 
 def reference_cocircuits(A):
@@ -56,6 +65,28 @@ def reference_cocircuits(A):
         v = tuple(x // g for x in v)
         found[v] = (v, tuple(x // g for x in c), sum(1 for x in v if x))
     return sorted(found.values())
+
+
+def skip_matrices():
+    """Seeded full-rank matrices, d 5-6 and n 8-11, with sparse entries so
+    that many (d-1)-subsets of columns share a hyperplane, each holding a
+    zero column, a doubled column and a sign-flipped column; then matrices
+    with d = 1 and with d = n."""
+    rng = random.Random(2026)
+    mats = []
+    while len(mats) < 26:
+        d, n = rng.randint(5, 6), rng.randint(8, 11)
+        cols = [[rng.choice((-1, 0, 0, 0, 1, 1, 2)) for _ in range(d)]
+                for _ in range(n - 3)]
+        cols += [[0] * d, [2 * x for x in rng.choice(cols)],
+                 [-x for x in rng.choice(cols)]]
+        rng.shuffle(cols)
+        A = [list(row) for row in zip(*cols)]
+        if rank_int(A) == d:
+            mats.append(A)
+    return mats + [[[0, 2, -2, 1, 0, 3]], [[-1]],
+                   [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]],
+                   [[2, 1, 0], [0, 1, 0], [1, 0, -1]]]
 
 
 def rank_zero_minors():
@@ -168,9 +199,9 @@ class TestR10:
 
 class TestRank:
     def test_examples(self, hexagon):
-        assert hexagon.rank({0, 1}) == 2
-        assert hexagon.rank(set()) == 0
-        assert hexagon.rank({2}) == 1
+        assert reference_rank(hexagon, {0, 1}) == 2
+        assert reference_rank(hexagon, set()) == 0
+        assert reference_rank(hexagon, {2}) == 1
 
     def test_monotone_submodular(self, corpus):
         rng = random.Random(3)
@@ -178,9 +209,9 @@ class TestRank:
             for _ in range(20):
                 S = {j for j in range(M.n) if rng.random() < 0.5}
                 T = {j for j in range(M.n) if rng.random() < 0.5}
-                rS, rT = M.rank(S), M.rank(T)
-                assert rS <= M.rank(S | T)
-                assert M.rank(S | T) + M.rank(S & T) <= rS + rT
+                rS, rT = reference_rank(M, S), reference_rank(M, T)
+                assert rS <= reference_rank(M, S | T)
+                assert reference_rank(M, S | T) + reference_rank(M, S & T) <= rS + rT
 
 
 class TestUnimodular:
@@ -226,6 +257,50 @@ class TestUnimodular:
             assert {frozenset(cc.support) for cc in M.cocircuits} == minimal
 
 
+class TestSweepSkip:
+    """The hyperplane sweep where most (d-1)-subsets lie in a hyperplane
+    found before them, so the skip test decides most of the work."""
+
+    @pytest.mark.parametrize("A", [K5, K6, R10, CUBE6X12, BOOLEAN8],
+                             ids=["K5", "K6", "R10", "cube6x12", "boolean8"])
+    def test_fixed_matrices_match_brute_force(self, A):
+        M = from_matrix(A)
+        assert [(cc.v, cc.c, cc.support_size) for cc in M.cocircuits] == \
+            reference_cocircuits(A)
+        assert [(c.support, c.alpha) for c in M.circuits] == \
+            reference_circuits(M.realization)
+
+    def test_seeded_matrices_match_brute_force(self):
+        for A in skip_matrices():
+            M = from_matrix(A)
+            assert [(cc.v, cc.c, cc.support_size) for cc in M.cocircuits] == \
+                reference_cocircuits(A), A
+            assert [(c.support, c.alpha) for c in M.circuits] == \
+                reference_circuits(M.realization), A
+
+    @pytest.mark.parametrize("A", [K6, COGRAPHIC_7X12], ids=["K6", "cographic7x12"])
+    def test_eliminations_match_zero_set_rule(self, A, monkeypatch):
+        # a weaker skip makes extra eliminations, a stronger one misses
+        # hyperplanes; either changes the count
+        calls = []
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return nullspace_primitive(rows, ncols)
+
+        monkeypatch.setattr(matroid, "nullspace_primitive", counted)
+        rz = from_matrix(A).realization
+        matroid._find_cocircuits(rz)
+        expected = reference_sweep_eliminations(rz)
+        assert len(calls) == expected < math.comb(rz.n, rz.d - 1)
+        kernel = nullspace_primitive(rz.entries, rz.n)
+        dual = matroid.Realization(len(kernel), rz.n, tuple(kernel))
+        calls.clear()
+        matroid._find_circuits(rz)
+        expected = 1 + reference_sweep_eliminations(dual)
+        assert len(calls) == expected < 1 + math.comb(dual.n, dual.d - 1)
+
+
 class TestTutte:
     def test_hexagon(self, hexagon):
         assert hexagon.tutte() == BiPolyXY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -262,7 +337,7 @@ class TestTutte:
         for A in sweep_matrices():
             M = from_matrix(A)
             corank_nullity = collections.Counter(
-                (M.d - M.rank(S), size - M.rank(S))
+                (M.d - reference_rank(M, S), size - reference_rank(M, S))
                 for size in range(M.n + 1)
                 for S in itertools.combinations(range(M.n), size))
             terms = collections.Counter()
@@ -279,7 +354,7 @@ class TestTutte:
             M = from_matrix(A)
             everything = set(range(M.n))
             assert M.coloops() == tuple(
-                j for j in range(M.n) if M.rank(everything - {j}) < M.d), A
+                j for j in range(M.n) if reference_rank(M, everything - {j}) < M.d), A
             counts.add(min(len(M.coloops()), 2))
         assert counts == {0, 1, 2}
 
@@ -332,7 +407,7 @@ class TestTutte:
     def test_deletion_contraction_identity(self, corpus):
         rng = random.Random(17)
         for M in corpus.values():
-            loops, coloops = set(M.loops()), set(M.coloops())
+            loops, coloops = set(reference_loops(M)), set(M.coloops())
             candidates = [j for j in range(M.n)
                           if j not in loops and j not in coloops]
             if not candidates:
