@@ -1,7 +1,7 @@
 """Exact graded (q-analogue) Ehrhart theory of unimodular zonotopes."""
 
 from .errors import GuardExceeded, NotUnimodular
-from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, bar_q, expand, qbinom
+from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, expand, qbinom
 from .gehrhart import (
     QIVP,
     GradedCount,
@@ -49,7 +49,7 @@ __all__ = [
     "GradedCount", "GradedIdealSpec", "GuardExceeded", "HRep",
     "LaurentQ", "NotUnimodular",
     "PolyTQ", "QIVP", "RatSeries", "Realization", "RealizedMatroid",
-    "SegreGenerators", "bar_eval", "bar_q", "degree1_dim", "ehr_poly",
+    "SegreGenerators", "bar_eval", "degree1_dim", "ehr_poly",
     "ehr_tpower", "euler_mahonian", "expand", "external_spec",
     "from_matrix", "gorenstein_classify", "graded_count", "graded_hilbert",
     "h_rep", "hilbert", "interior_series", "internal_spec", "lattice_count",

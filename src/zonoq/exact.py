@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 
 def _signed_join(parts: list[str]) -> str:
@@ -30,6 +30,14 @@ def _signed_join(parts: list[str]) -> str:
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+def _times_qint(c, k: int) -> list[int]:
+    """The coefficient list c times [k]_q (k >= 0), at the same offset: the
+    running sum of c - q^k c."""
+    diff = list(c) + [0] * k
+    diff[k:] = map(sub, diff[k:], c)
+    return list(accumulate(diff))
 
 
 class _Dense:
@@ -196,13 +204,11 @@ class LaurentQ(_Dense):
         return cls._make(0, (1,) * m)
 
     def times_qint(self, k: int) -> "LaurentQ":
-        """self * [k]_q, as the running sum of self - q^k self: linear time,
-        where a product with ``q_int(k)`` takes len(self) * k term pairs."""
+        """self * [k]_q by ``_times_qint``: linear time, where a product with
+        ``q_int(k)`` takes len(self) * k term pairs."""
         if k < 0:
             raise ValueError("times_qint requires k >= 0")
-        diff = list(self.c) + [0] * k
-        diff[k:] = map(sub, diff[k:], self.c)
-        return self._make(self.lo, list(accumulate(diff)))
+        return self._make(self.lo, _times_qint(self.c, k))
 
     def over_qint(self, k: int) -> "LaurentQ":
         """self / [k]_q = self (1 - q) / (1 - q^k), exactly: running sums with
@@ -236,10 +242,6 @@ class LaurentQ(_Dense):
         """Specialize q := 1."""
         return sum(self.c)
 
-    def is_polynomial(self) -> bool:
-        """True iff no negative q-exponent appears (membership in Z[q])."""
-        return self.lo >= 0
-
     def to_pairs(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs."""
         return list(self._terms().items())
@@ -258,11 +260,6 @@ class LaurentQ(_Dense):
             else:
                 parts.append(f"{c}*q^{e}" if e != 1 else f"{c}*q")
         return _signed_join(parts)
-
-
-def bar_q(p: LaurentQ) -> LaurentQ:
-    """The involution q -> q^(-1) on Laurent polynomials."""
-    return p.bar()
 
 
 def qbinom(m: int, k: int) -> LaurentQ:
@@ -401,25 +398,39 @@ class BiPolyXY(_Dense):
         return super().coeff(a).coeff(b)
 
     def x_coeffs(self, top: int, e: int) -> list[LaurentQ]:
-        """The coefficients of x^0, ..., x^top in self(x, q^e), in q."""
-        return [LaurentQ({e * b: c for b, c in _Dense.coeff(self, a).to_pairs()})
-                for a in range(top + 1)]
+        """The coefficients of x^0, ..., x^top in self(x, q^e), in q: y^b
+        lands on q^(e b), every |e|-th slot of one list."""
+        out = []
+        for a in range(top + 1):
+            g = _Dense.coeff(self, a)
+            if not g or not e:
+                out.append(LaurentQ.const(sum(g.c)))
+                continue
+            c = [0] * (abs(e) * (len(g.c) - 1) + 1)
+            c[::abs(e)] = g.c if e > 0 else g.c[::-1]
+            out.append(LaurentQ._make(e * (g.lo if e > 0 else g.lo + len(g.c) - 1), c))
+        return out
 
     def q_eval(self, k: int, j: int, top: int, e: int) -> LaurentQ:
         """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree: a
-        homogeneous Horner sum over the x-coefficients, ``times_qint`` only."""
-        out = LaurentQ.zero()
-        for a, g in reversed(list(enumerate(self.x_coeffs(top, e)))):
+        homogeneous Horner sum over the x-coefficients on coefficient lists
+        at one offset, the lowest, with ``_times_qint`` only."""
+        if top < self.x_degree():
+            raise ValueError("top must be at least the x-degree")
+        gs = self.x_coeffs(top, e)
+        lo = min((g.lo for g in gs if g), default=0)
+        out: list[int] = []
+        for a in range(top, -1, -1):
+            g = [0] * (gs[a].lo - lo) + list(gs[a].c) if gs[a] else []
             for _ in range(top - a):
-                g = g.times_qint(j)
-            out = out.times_qint(k) + g
-        return out
+                g = _times_qint(g, j)
+            out = _times_qint(out, k)
+            out += [0] * (len(g) - len(out))
+            out[:len(g)] = map(add, out, g)
+        return LaurentQ._make(lo, out)
 
     def x_degree(self) -> int:
         return self.lo + len(self.c) - 1 if self.c else 0
-
-    def y_degree(self) -> int:
-        return max((g.lo + len(g.c) - 1 for g in self.c if g), default=0)
 
     def eval_int(self, x: int, y: int) -> int:
         return sum(c * x**a * y**b for (a, b), c in self.items())
@@ -455,26 +466,11 @@ def laurent_to_json(p: LaurentQ) -> list[list]:
     return [[e, str(c)] for e, c in p.to_pairs()]
 
 
-def laurent_from_json(data: Iterable) -> LaurentQ:
-    return LaurentQ({int(e): int(c) for e, c in data})
-
-
 def polytq_to_json(p: PolyTQ) -> list[list]:
     """Sorted [t_exponent, q_exponent, coefficient-as-decimal-string] triples."""
     return [[k, e, str(c)] for k, e, c in p.to_triples()]
 
 
-def polytq_from_json(data: Iterable) -> PolyTQ:
-    out: dict[int, dict[int, int]] = {}
-    for k, e, c in data:
-        out.setdefault(int(k), {})[int(e)] = int(c)
-    return PolyTQ({k: LaurentQ(terms) for k, terms in out.items()})
-
-
 def bipoly_to_json(p: BiPolyXY) -> list[list]:
     """Sorted [x_exponent, y_exponent, coefficient-as-decimal-string] triples."""
     return [[a, b, str(c)] for a, b, c in p.to_triples()]
-
-
-def bipoly_from_json(data: Iterable) -> BiPolyXY:
-    return BiPolyXY({(int(a), int(b)): int(c) for a, b, c in data})

@@ -8,10 +8,14 @@ with + for all lattice points and - for interior ones.  Every rational-
 function evaluation of T_M is performed by clearing denominators against its
 degree bounds, so the whole module stays inside exact Laurent arithmetic.
 
-Every factor in it is a q-integer, multiplied in linear time by one kernel,
-``LaurentQ.times_qint`` (the running sum of self - q^k self; exact inverse
-``over_qint``): graded counts, both Ehrhart forms and ``bar_eval`` are Horner
-sums on it or on shifts, with no product of two polynomials.
+Every factor in it is a q-integer, multiplied in linear time by one list
+kernel, ``exact._times_qint`` (the running sum of c - q^k c on a coefficient
+list c, wrapped by ``LaurentQ.times_qint``; exact inverse ``over_qint``):
+graded counts, both Ehrhart forms and ``bar_eval`` are Horner sums on it or
+on shifts, with no product of two polynomials.  The two hottest sums run on
+plain integer lists and build their values once, at return: graded counts
+through ``BiPolyXY.q_eval``, on lists at one common q-offset, and the t-power
+form on one integer grid, entry k (n+1) + e holding the coefficient of t^k q^e.
 
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
@@ -28,6 +32,7 @@ once per matroid and shared by every caller (see ``matroid.invariant``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import NotUnimodular
 from .exact import LaurentQ, PolyTQ, RatSeries
@@ -78,23 +83,26 @@ def ehr_tpower(M: RealizedMatroid) -> PolyTQ:
     """The graded Ehrhart polynomial in plain t-power form.
 
     sum_{a,b} c_ab (1+qt)^a t^(d-a) (1+(q-1)t)^(n-d-b) (the degree bounds of
-    T_M clear both denominators) by Horner's rule over n-d-b and over a: on
-    t-coefficient lists, 1 + qt is two shifts and 1 + (q-1)t one sum more.
+    T_M clear both denominators) by Horner's rule over n-d-b and over a, on
+    one integer grid: entry k W + e holds the coefficient of t^k q^e, W = n+1.
+    No step wraps, as every q-degree is at most its t-degree, at most n; so
+    1 + qt adds the grid shifted by W + 1, and 1 + (q-1)t subtracts it
+    shifted by W as well.
     """
     if not M.is_unimodular():
         raise NotUnimodular("the graded Ehrhart polynomial requires unimodularity")
     d, n = M.d, M.n
-    zero = LaurentQ.zero()
     T = M.tutte()
-    out = [zero] * (n + 1)
+    W = n + 1
+    out = [0] * (W * W)
     for b in range(n - d + 1):
-        out = [u + v.shift(1) - v for u, v in zip(out, [zero] + out)]
-        acc = [zero] * (d + 1)
+        out = list(map(sub, map(add, out, [0] * (W + 1) + out), [0] * W + out))
+        acc = [0] * ((d + 1) * W)
         for a in range(d, -1, -1):
-            acc = [u + v.shift(1) for u, v in zip(acc, [zero] + acc)]
-            acc[d - a] = acc[d - a] + T.coeff(a, b)
-        out[:d + 1] = [u + v for u, v in zip(out, acc)]
-    return PolyTQ(enumerate(out))
+            acc = list(map(add, acc, [0] * (W + 1) + acc))
+            acc[(d - a) * W] += T.coeff(a, b)
+        out[:len(acc)] = map(add, out, acc)
+    return PolyTQ._make(0, [LaurentQ._make(0, out[k:k + W]) for k in range(0, W * W, W)])
 
 
 @invariant

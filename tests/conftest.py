@@ -2,17 +2,20 @@
 the references that the fast kernels are tested against: Fraction
 elimination, subset-enumerated circuits, subset ranks and loops, the
 hyperplane sweep's skip rule as a list of zero sets, the per-minor Tutte
-recursion, dict polynomial arithmetic, the bounding-box lattice scan,
-evaluation of both Ehrhart forms at [m]_q, q-binomial interpolation by a
-q-difference table and by products, product-based series numerators, the
-product forms of the q-integer kernels, tuple-indexed zonotopal
+recursion, dict polynomial arithmetic, term-by-term q-evaluation of a
+bivariate polynomial, the bounding-box lattice scan, evaluation of both
+Ehrhart forms at [m]_q, q-binomial interpolation by a q-difference table and
+by products, product-based series numerators, the product forms of the
+q-integer kernels, tuple-indexed zonotopal
 elimination, and the harmonic presentation over 2^n subset variables and
-over the uniform Segre box."""
+over the uniform Segre box.  It also holds the polynomial helpers only tests
+use: ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON readers."""
 
 import functools
 import itertools
 import random
 import weakref
+from collections.abc import Iterable
 from fractions import Fraction
 
 import pytest
@@ -352,6 +355,38 @@ def box_scan_count(M, m, interior=False):
     return count
 
 
+# -- polynomial helpers only tests use ----------------------------------------
+
+
+def bar_q(p: LaurentQ) -> LaurentQ:
+    """The involution q -> q^(-1) on Laurent polynomials."""
+    return p.bar()
+
+
+def is_polynomial(p: LaurentQ) -> bool:
+    """True iff no negative q-exponent appears (membership in Z[q])."""
+    return p.lo >= 0
+
+
+def y_degree(T: BiPolyXY) -> int:
+    return max((g.lo + len(g.c) - 1 for g in T.c if g), default=0)
+
+
+def laurent_from_json(data: Iterable) -> LaurentQ:
+    return LaurentQ({int(e): int(c) for e, c in data})
+
+
+def polytq_from_json(data: Iterable) -> PolyTQ:
+    out: dict[int, dict[int, int]] = {}
+    for k, e, c in data:
+        out.setdefault(int(k), {})[int(e)] = int(c)
+    return PolyTQ({k: LaurentQ(terms) for k, terms in out.items()})
+
+
+def bipoly_from_json(data: Iterable) -> BiPolyXY:
+    return BiPolyXY({(int(a), int(b)): int(c) for a, b, c in data})
+
+
 # -- product-based references for the Ehrhart layer --------------------------
 
 
@@ -384,6 +419,27 @@ def product_graded_count(M, m, interior=False):
     for (a, b), c in M.tutte().items():
         total = total + (qarg ** a * qm ** (d - a) * c).shift(-m * b)
     return total.shift((n - d) * m)
+
+
+@functools.cache
+def _qint_power(k, a):
+    return LaurentQ.q_int(k) ** a
+
+
+def reference_x_coeffs(T, top, e):
+    """The coefficients of x^0, ..., x^top in T(x, q^e), summed term by term
+    from ``items()``; top at least the x-degree of T."""
+    out = [{} for _ in range(top + 1)]
+    for (a, b), c in T.items():
+        out[a][e * b] = out[a].get(e * b, 0) + c
+    return [LaurentQ(g) for g in out]
+
+
+def reference_q_eval(T, k, j, top, e):
+    """[j]_q^top T([k]_q / [j]_q, q^e) = sum c q^(eb) [k]_q^a [j]_q^(top-a)
+    over the terms c x^a y^b of T, from power tables and products."""
+    return sum((_qint_power(k, a) * _qint_power(j, top - a) * LaurentQ.q_power(e * b, c)
+                for (a, b), c in T.items()), LaurentQ.zero())
 
 
 def product_ehr_tpower(M):

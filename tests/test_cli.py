@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from conftest import CORPUS_MATRICES, DIAMOND, R10, graphic
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, graphic, laurent_from_json,
+                      polytq_from_json)
 import zonoq
 from zonoq.cli import run
-from zonoq.exact import laurent_from_json, polytq_from_json
 from zonoq import graded_count, series
 
 HEXAGON_DOC = {"name": "hexagon", "d": 2, "n": 3,

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import (
+    bar_q,
+    bipoly_from_json,
     dict_add,
     dict_bar,
     dict_eval_t,
@@ -13,21 +15,26 @@ from conftest import (
     dict_shift,
     dict_t_reverse_bar,
     eval_qint,
+    is_polynomial,
+    laurent_from_json,
     pascal_qbinom,
+    polytq_from_json,
+    reference_q_eval,
+    reference_x_coeffs,
+    unimodular_suite,
+    y_degree,
 )
+from zonoq import from_matrix
 from zonoq.exact import (
     BiPolyXY,
     LaurentQ,
     PolyTQ,
     RatSeries,
-    bar_q,
-    bipoly_from_json,
     bipoly_to_json,
     expand,
-    laurent_from_json,
     laurent_to_json,
-    polytq_from_json,
     polytq_to_json,
+    _times_qint,
     qbinom,
 )
 
@@ -96,7 +103,7 @@ class TestQbinom:
         for m in range(9):
             for k in range(m + 1):
                 p = qbinom(m, k)
-                assert p.is_polynomial()
+                assert is_polynomial(p)
                 assert all(c > 0 for c in p.terms.values())
 
     def test_matches_q_pascal(self):
@@ -145,6 +152,16 @@ class TestQintKernel:
                     (p * LaurentQ.q_int(k) + LaurentQ.q_power(e)).over_qint(k)
         with pytest.raises(ArithmeticError):
             LaurentQ({0: 1, 1: 1}).over_qint(3)
+
+    def test_list_kernel_is_the_product(self):
+        rng = random.Random(71)
+        for p in self.values(rng):
+            for k in (0, 1, rng.randint(2, 6), rng.randint(7, 60)):
+                out = _times_qint(p.c, k)
+                assert len(out) == len(p.c) + k, (p, k)
+                assert LaurentQ._make(p.lo, out) == p * LaurentQ.q_int(k), (p, k)
+        assert _times_qint([], 0) == [] and _times_qint((), 3) == [0, 0, 0]
+        assert _times_qint([2, -1], 0) == [0, 0]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -257,12 +274,49 @@ class TestSerialization:
         assert bipoly_from_json(bipoly_to_json(T)) == T
 
 
+class TestBiPolyQEval:
+    """x_coeffs and q_eval against term-by-term references from items()."""
+
+    # x^2 + 2x + 2y + y^2, the Tutte polynomial of [[1, 0, 1, 1], [0, 1, 1, -1]]
+    T = BiPolyXY({(2, 0): 1, (1, 0): 2, (0, 1): 2, (0, 2): 1})
+
+    def test_example(self):
+        assert from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]]).tutte() == self.T
+        assert self.T.x_coeffs(2, 0) == [LaurentQ.const(3), LaurentQ.const(2),
+                                          LaurentQ.one()]
+        assert self.T.q_eval(2, 1, 2, 0) == LaurentQ({0: 6, 1: 4, 2: 1})  # T(1+q, 1)
+        assert self.T.x_coeffs(3, -2) == [LaurentQ({-2: 2, -4: 1}), LaurentQ.const(2),
+                                          LaurentQ.one(), LaurentQ.zero()]
+
+    def test_top_below_x_degree_rejected(self):
+        with pytest.raises(ValueError, match="x-degree"):
+            self.T.q_eval(2, 1, 1, -1)
+        with pytest.raises(ValueError, match="x-degree"):
+            BiPolyXY.one().q_eval(2, 1, -1, 0)
+
+    def test_zero_polynomial(self):
+        for top in range(3):
+            assert BiPolyXY.zero().x_coeffs(top, 2) == [LaurentQ.zero()] * (top + 1)
+            assert BiPolyXY.zero().q_eval(2, 3, top, -1) == LaurentQ.zero()
+
+    def test_suite(self):
+        for M in unimodular_suite():
+            T = M.tutte()
+            for top in (T.x_degree(), T.x_degree() + 2):
+                for e in range(-3, 4):
+                    assert T.x_coeffs(top, e) == reference_x_coeffs(T, top, e), (T, top, e)
+                    for k in range(4):
+                        for j in range(4):
+                            assert T.q_eval(k, j, top, e) == \
+                                reference_q_eval(T, k, j, top, e), (T, k, j, top, e)
+
+
 class TestBiPoly:
     def test_eval(self):
         T = BiPolyXY({(2, 0): 1, (1, 0): 1, (0, 1): 1})
         assert T.eval_int(2, 1) == 7
         assert T.eval_int(2, 2) == 8
-        assert T.x_degree() == 2 and T.y_degree() == 1
+        assert T.x_degree() == 2 and y_degree(T) == 1
 
     def test_canonical_zero_stripping(self):
         a = BiPolyXY({(1, 1): 2})
@@ -437,7 +491,7 @@ class TestDenseCoreEdges:
     def test_zero_degrees(self):
         assert PolyTQ.zero().t_degree() == -1
         z = BiPolyXY.zero()
-        assert z.x_degree() == 0 and z.y_degree() == 0
+        assert z.x_degree() == 0 and y_degree(z) == 0
         assert repr(z) == repr(LaurentQ.zero()) == repr(PolyTQ.zero()) == "0"
 
     def test_reprs(self):

@@ -12,6 +12,7 @@ from conftest import (
     eval_qint,
     eval_qivp,
     graphic,
+    is_polynomial,
     product_bar_eval,
     product_ehr_tpower,
     product_eval_t,
@@ -93,7 +94,7 @@ class TestGradedCount:
         for M in corpus.values():
             for m in (1, 2):
                 gc = graded_count(M, m)
-                assert gc.value.is_polynomial()
+                assert is_polynomial(gc.value)
                 assert all(c > 0 for c in gc.value.terms.values())
 
     def test_boolean_is_qint_power(self, corpus):
@@ -139,7 +140,7 @@ class TestEhrPoly:
     def test_basis_coeffs_are_polynomials(self, corpus):
         # membership in the positive part: every f_k lies in Z[q]
         for name, M in corpus.items():
-            assert all(f.is_polynomial()
+            assert all(is_polynomial(f)
                        for f in ehr_poly(M).basis_coeffs), name
 
     def test_values_match_graded_counts(self, corpus):
@@ -300,7 +301,7 @@ class TestAgainstProductReferences:
                 coeffs = tuple(LaurentQ.zero() if rng.random() < 0.25
                                else rand_laurent(rng) for _ in range(degree + 1))
                 zero_coeffs += sum(1 for f in coeffs if not f)
-                negative_exponents += sum(1 for f in coeffs if not f.is_polynomial())
+                negative_exponents += sum(1 for f in coeffs if not is_polynomial(f))
                 P = QIVP(coeffs, degree)
                 values = [eval_qivp(P, m) for m in range(degree + 1)]
                 assert qdifference_interpolation(values) == P
@@ -339,16 +340,30 @@ class TestAgainstQintProductReferences:
     def matroids(self, corpus):
         return {**corpus, "R10": from_matrix(R10)}
 
-    def test_graded_count(self, matroids):
-        for name, M in matroids.items():
+    @pytest.fixture(scope="class")
+    def suite(self):
+        """The corpus, R10, K4, K5 and the unimodular sweep matrices."""
+        return {repr(M.realization): M for M in unimodular_suite()}
+
+    def test_graded_count(self, suite):
+        for name, M in suite.items():
             for m in range(1, 5):
                 for interior in (False, True):
                     assert graded_count(M, m, interior).value == \
                         product_graded_count(M, m, interior), (name, m, interior)
 
-    def test_ehr_tpower(self, matroids):
-        for name, M in matroids.items():
+    def test_ehr_tpower(self, suite):
+        for name, M in suite.items():
             assert ehr_tpower(M) == product_ehr_tpower(M), name
+
+    @pytest.mark.parametrize("A", [[], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0]],
+                                   [[1, 1, 0], [0, 0, 1]]],
+                             ids=["n0", "d_eq_n", "loop", "coloop"])
+    def test_ehr_tpower_edge_shapes(self, A):
+        # the t-power grid is (n+1) x (n+1): its shifts must stay in bounds
+        # at n = 0 and lose no row when d = n or a column is a loop or coloop
+        M = from_matrix(A)
+        assert ehr_tpower(M) == product_ehr_tpower(M)
 
     def test_ehr_poly_values(self, matroids):
         for name, M in matroids.items():
@@ -372,7 +387,7 @@ class TestAgainstQintProductReferences:
                 coeffs = tuple(LaurentQ.zero() if rng.random() < 0.25
                                else rand_laurent(rng) for _ in range(degree + 1))
                 zero_coeffs += sum(1 for f in coeffs if not f)
-                negative_exponents += sum(1 for f in coeffs if not f.is_polynomial())
+                negative_exponents += sum(1 for f in coeffs if not is_polynomial(f))
                 P = QIVP(coeffs, degree)
                 for m in range(1, 6):
                     assert bar_eval(P, m) == product_bar_eval(P, m), (P, m)
