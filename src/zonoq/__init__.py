@@ -19,7 +19,6 @@ from .harmonic import (
     GorensteinVerdict,
     SegreGenerators,
     degree1_dim,
-    euler_mahonian,
     gorenstein_classify,
     graded_hilbert,
     palindrome_check,
@@ -38,7 +37,6 @@ from .zonalg import (
     external_spec,
     hilbert,
     internal_spec,
-    verify_zonotopal,
 )
 from .zonotope import HRep, h_rep, lattice_count, tutte_count
 
@@ -50,10 +48,10 @@ __all__ = [
     "LaurentQ", "NotUnimodular",
     "PolyTQ", "QIVP", "RatSeries", "Realization", "RealizedMatroid",
     "SegreGenerators", "bar_eval", "degree1_dim", "ehr_poly",
-    "ehr_tpower", "euler_mahonian", "expand", "external_spec",
+    "ehr_tpower", "expand", "external_spec",
     "from_matrix", "gorenstein_classify", "graded_count", "graded_hilbert",
     "h_rep", "hilbert", "interior_series", "internal_spec", "lattice_count",
     "palindrome_check", "qbinom", "qivp_bar_series",
     "qivp_series", "reciprocity_check", "segre_generators", "series",
-    "tutte_count", "tutte_thickened", "verify_zonotopal",
+    "tutte_count", "tutte_thickened",
 ]

@@ -422,7 +422,7 @@ class BiPolyXY(_Dense):
         out: list[int] = []
         for a in range(top, -1, -1):
             g = [0] * (gs[a].lo - lo) + list(gs[a].c) if gs[a] else []
-            for _ in range(top - a):
+            for _ in range(top - a if j != 1 else 0):  # [1]_q = 1
                 g = _times_qint(g, j)
             out = _times_qint(out, k)
             out += [0] * (len(g) - len(out))

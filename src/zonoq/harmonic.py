@@ -34,7 +34,6 @@ from .matroid import CircuitRep, Realization, RealizedMatroid, invariant
 
 VARIABLE_GUARD = 14          # at most 2^14 z-variables
 COLUMN_GUARD = 16_384        # box columns prod (m*p_j + 1) of one degree
-FACTORIAL_GUARD = 8
 
 BOOLEAN = "boolean"
 CIRCUIT_COMPONENTS = "circuit-components"
@@ -200,23 +199,6 @@ def palindrome_check(M: RealizedMatroid) -> bool:
             f"component {verdict.witness} is not a circuit")
     num = gehrhart.series(M).numerator
     return numerator_palindrome(num, M.n, M.d, verdict.verdict == BOOLEAN)
-
-
-def euler_mahonian(n: int) -> PolyTQ:
-    """sum over permutations of [n] of t^des q^maj; equals the graded
-    Ehrhart series numerator of the n-cube."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > FACTORIAL_GUARD:
-        raise GuardExceeded(
-            f"n = {n} exceeds FACTORIAL_GUARD={FACTORIAL_GUARD}")
-    acc: dict[int, dict[int, int]] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        des = [j + 1 for j in range(n - 1) if perm[j] > perm[j + 1]]
-        k, maj = len(des), sum(des)
-        acc.setdefault(k, {})
-        acc[k][maj] = acc[k].get(maj, 0) + 1
-    return PolyTQ({k: LaurentQ(terms) for k, terms in acc.items()})
 
 
 def _set_label(mask: int) -> str:

@@ -143,12 +143,3 @@ def hilbert(spec: GradedIdealSpec) -> LaurentQ:
             break
         dims[k] = dim
     return LaurentQ(dims)
-
-
-def verify_zonotopal(M: RealizedMatroid) -> bool:
-    """Check both zonotopal Hilbert series against their Tutte evaluations:
-    external = q^(n-d) T(1+q, 1/q) and internal = q^(n-d) T(0, 1/q)."""
-    d, n = M.d, M.n
-    ext = M.tutte().q_eval(2, 1, d, -1).shift(n - d)  # 1 + q = [2]_q
-    intr = M.tutte().q_eval(0, 1, d, -1).shift(n - d)
-    return hilbert(external_spec(M)) == ext and hilbert(internal_spec(M)) == intr

@@ -4,24 +4,26 @@ The H-description of Z = A * [0,1]^n comes straight from the cocircuit
 vectors: each one gives a pair of parallel facet inequalities, of width
 equal to its support size since A is unimodular.  Counting is plain enumeration
 against those inequalities, which is exact and independent of every closed
-formula it is used to check.  It iterates over the bounding box without its
-longest coordinate: for each prefix of the other coordinates, each facet pair
-bounds that last coordinate to an integer interval (or, where the facet does
-not involve it, passes or fails outright), and the prefix contributes the
-length of the intersection of those intervals.
+formula it is used to check.  It walks the bounding box without its longest
+coordinate column-wise: each facet's sums over a block of trailing coordinates
+are one list (facets x block points <= BLOCK_ENTRIES), and for each prefix of
+the other coordinates the lists fold elementwise into the integer interval left
+on the last coordinate; one step inside it lie the interior points.  One walk
+gives both counts, cached per (M, m).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
+from itertools import compress, product, repeat
+from operator import mul, sub
 
 from .errors import GuardExceeded, NotUnimodular
-from .matroid import RealizedMatroid
+from .matroid import RealizedMatroid, invariant
 
 BOX_GUARD = 10**7
+BLOCK_ENTRIES = 2**16  # facets x block points the lattice walk holds at once
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,12 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
         raise ValueError("dilate m must be >= 1")
     if M.d == 0:
         return 1
+    return _lattice_counts(M, m)[interior]
+
+
+@invariant
+def _lattice_counts(M: RealizedMatroid, m: int) -> tuple[int, int]:
+    """(closed, interior) lattice-point counts of mZ, from one walk."""
     rep = h_rep(M)
     ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
               for row in M.realization.entries]
@@ -74,33 +82,52 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
         raise GuardExceeded(
             f"bounding box volume {volume} exceeds BOX_GUARD={BOX_GUARD}")
     last = max(range(M.d), key=lambda i: len(ranges[i]))
-    # lo <= <c', x'> + a * x_last <= hi per facet pair, signed so that a >= 0;
-    # interior points satisfy the strict inequalities, lo+1 ... hi-1
-    strict = 1 if interior else 0
-    bounds = []
+    spans = ranges[:last] + ranges[last + 1:]
+    # the block: the most trailing prefix coordinates whose points, one list
+    # of them per facet, fit in BLOCK_ENTRIES entries
+    split, size = len(spans), len(rep.facets)
+    while split and size * len(spans[split - 1]) <= BLOCK_ENTRIES:
+        split -= 1
+        size *= len(spans[split])
+    # lo <= <c', x'> + a * x_last <= hi per facet pair, signed so that a >= 0,
+    # with <c', x'> = s + x: s over the outer coordinates, x over the block
+    unit, steep, flat = [], [], []
     for f in rep.facets:
-        a = f.c[last]
-        lo, hi = m * f.alpha_min + strict, m * f.alpha_max - strict
-        rest = f.c[:last] + f.c[last + 1:]
+        a, lo, hi = f.c[last], m * f.alpha_min, m * f.alpha_max
+        c = f.c[:last] + f.c[last + 1:]
         if a < 0:
-            a, lo, hi, rest = -a, -hi, -lo, tuple(-x for x in rest)
-        bounds.append((rest, a, lo, hi))
-    t_min, t_max = ranges[last].start, ranges[last].stop - 1
-    count = 0
-    for prefix in itertools.product(*(ranges[:last] + ranges[last + 1:])):
-        t_lo, t_hi = t_min, t_max
-        for rest, a, lo, hi in bounds:
-            s = sum(map(operator.mul, rest, prefix))
-            if a:
-                t_lo = max(t_lo, -((s - lo) // a))
-                t_hi = min(t_hi, (hi - s) // a)
-                if t_lo > t_hi:
-                    break
-            elif not lo <= s <= hi:
-                break
-        else:
-            count += t_hi - t_lo + 1
-    return count
+            a, lo, hi, c = -a, -hi, -lo, tuple(-x for x in c)
+        xs = [0]
+        for ci, r in zip(c[split:], spans[split:]):
+            xs = [s + ci * x for s in xs for x in r]
+        (flat if a == 0 else unit if a == 1 else steep).append((c[:split], a, lo, hi, xs))
+    t_min, t_max, block = ranges[last][0], ranges[last][-1], len(xs)
+    closed = interior = 0
+    for prefix in product(*spans[:split]):
+        # x_last in [lo - v, hi + 1 - v) for v = s + x over the a = 1 facets,
+        # one step inside for interior points; a = 0 facets keep the block
+        # points whose slack min(v - lo, hi - v) is >= 0 (>= 1 for interior)
+        lows, highs = [repeat(t_min, block)], [repeat(t_max + 1, block)]
+        slacks = [repeat(1, block)]
+        for c, _, lo, hi, xs in unit:
+            s = sum(map(mul, c, prefix))
+            lows.append(map((lo - s).__sub__, xs))
+            highs.append(map((hi + 1 - s).__sub__, xs))
+        for c, _, lo, hi, xs in flat:
+            s = sum(map(mul, c, prefix))
+            slacks += [map((s - lo).__add__, xs), map((hi - s).__sub__, xs)]
+        lo_c, hi_c = list(map(max, zip(*lows))), list(map(min, zip(*highs)))
+        lo_i, hi_i = map((1).__add__, lo_c), map((-1).__add__, hi_c)
+        for c, a, lo, hi, xs in steep:
+            v = [sum(map(mul, c, prefix)) + x for x in xs]
+            lo_c = list(map(max, lo_c, [-((y - lo) // a) for y in v]))
+            hi_c = list(map(min, hi_c, [(hi - y) // a + 1 for y in v]))
+            lo_i = list(map(max, lo_i, [(lo - y) // a + 1 for y in v]))
+            hi_i = list(map(min, hi_i, [-((y - hi) // a) for y in v]))
+        slack = list(map(min, zip(*slacks)))
+        closed += sum(map(max, compress(map(sub, hi_c, lo_c), map((-1).__lt__, slack)), repeat(0)))
+        interior += sum(map(max, compress(map(sub, hi_i, lo_i), map((0).__lt__, slack)), repeat(0)))
+    return closed, interior
 
 
 def tutte_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:

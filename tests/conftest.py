@@ -3,16 +3,22 @@ the references that the fast kernels are tested against: Fraction
 elimination, subset-enumerated circuits, subset ranks and loops, the
 hyperplane sweep's skip rule as a list of zero sets, the per-minor Tutte
 recursion, dict polynomial arithmetic, term-by-term q-evaluation of a
-bivariate polynomial, the bounding-box lattice scan, evaluation of both
+bivariate polynomial, the bounding-box lattice scan and the per-prefix
+interval walk, evaluation of both
 Ehrhart forms at [m]_q, q-binomial interpolation by a q-difference table and
 by products, product-based series numerators, the product forms of the
 q-integer kernels, tuple-indexed zonotopal
 elimination, and the harmonic presentation over 2^n subset variables and
 over the uniform Segre box.  It also holds the polynomial helpers only tests
-use: ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON readers."""
+use: ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON readers; and two
+checks only tests make: ``verify_zonotopal`` (both zonotopal Hilbert series
+against their Tutte evaluations) and ``euler_mahonian`` (the n-cube's
+numerator by permutations)."""
 
 import functools
 import itertools
+import math
+import operator
 import random
 import weakref
 from collections.abc import Iterable
@@ -20,11 +26,15 @@ from fractions import Fraction
 
 import pytest
 
-from zonoq import QIVP, from_matrix, h_rep, segre_generators
+from zonoq import (QIVP, GuardExceeded, external_spec, from_matrix, h_rep,
+                   hilbert, internal_spec, segre_generators)
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, qbinom
 from zonoq.linalg import (echelon_rank, nullspace_primitive, primitive_vector,
                           rank_int, rref_int)
 from zonoq.matroid import _column_to_e1
+from zonoq.zonotope import BOX_GUARD
+
+FACTORIAL_GUARD = 8
 
 # name -> matrix.  Covers Boolean ranks 1-3, uniform U_{1,2} / U_{2,3},
 # a graphic K_3 with a doubled edge, a matroid with a loop, direct sums of
@@ -353,6 +363,78 @@ def box_scan_count(M, m, interior=False):
         if ok:
             count += 1
     return count
+
+
+def reference_lattice_count(M, m, interior=False):
+    """Lattice points of mZ by the per-prefix interval walk: for each prefix
+    of the bounding box without its longest coordinate, each facet pair
+    bounds that coordinate to an integer interval (or passes or fails
+    outright), and the prefix adds the length of their intersection."""
+    if m < 1:
+        raise ValueError("dilate m must be >= 1")
+    if M.d == 0:
+        return 1
+    rep = h_rep(M)
+    ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
+              for row in M.realization.entries]
+    volume = math.prod(map(len, ranges))
+    if volume > BOX_GUARD:
+        raise GuardExceeded(
+            f"bounding box volume {volume} exceeds BOX_GUARD={BOX_GUARD}")
+    last = max(range(M.d), key=lambda i: len(ranges[i]))
+    # lo <= <c', x'> + a * x_last <= hi per facet pair, signed so that a >= 0;
+    # interior points satisfy the strict inequalities, lo+1 ... hi-1
+    strict = 1 if interior else 0
+    bounds = []
+    for f in rep.facets:
+        a = f.c[last]
+        lo, hi = m * f.alpha_min + strict, m * f.alpha_max - strict
+        rest = f.c[:last] + f.c[last + 1:]
+        if a < 0:
+            a, lo, hi, rest = -a, -hi, -lo, tuple(-x for x in rest)
+        bounds.append((rest, a, lo, hi))
+    t_min, t_max = ranges[last].start, ranges[last].stop - 1
+    count = 0
+    for prefix in itertools.product(*(ranges[:last] + ranges[last + 1:])):
+        t_lo, t_hi = t_min, t_max
+        for rest, a, lo, hi in bounds:
+            s = sum(map(operator.mul, rest, prefix))
+            if a:
+                t_lo = max(t_lo, -((s - lo) // a))
+                t_hi = min(t_hi, (hi - s) // a)
+                if t_lo > t_hi:
+                    break
+            elif not lo <= s <= hi:
+                break
+        else:
+            count += t_hi - t_lo + 1
+    return count
+
+
+def verify_zonotopal(M):
+    """Check both zonotopal Hilbert series against their Tutte evaluations:
+    external = q^(n-d) T(1+q, 1/q) and internal = q^(n-d) T(0, 1/q)."""
+    d, n = M.d, M.n
+    ext = M.tutte().q_eval(2, 1, d, -1).shift(n - d)  # 1 + q = [2]_q
+    intr = M.tutte().q_eval(0, 1, d, -1).shift(n - d)
+    return hilbert(external_spec(M)) == ext and hilbert(internal_spec(M)) == intr
+
+
+def euler_mahonian(n: int) -> PolyTQ:
+    """sum over permutations of [n] of t^des q^maj; equals the graded
+    Ehrhart series numerator of the n-cube."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > FACTORIAL_GUARD:
+        raise GuardExceeded(
+            f"n = {n} exceeds FACTORIAL_GUARD={FACTORIAL_GUARD}")
+    acc: dict[int, dict[int, int]] = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        des = [j + 1 for j in range(n - 1) if perm[j] > perm[j + 1]]
+        k, maj = len(des), sum(des)
+        acc.setdefault(k, {})
+        acc[k][maj] = acc[k].get(maj, 0) + 1
+    return PolyTQ({k: LaurentQ(terms) for k, terms in acc.items()})
 
 
 # -- polynomial helpers only tests use ----------------------------------------

@@ -10,14 +10,13 @@ import random
 
 import pytest
 
-from conftest import CORPUS_MATRICES, EXPECTED_VERDICT, unimodular_suite
+from conftest import CORPUS_MATRICES, EXPECTED_VERDICT, euler_mahonian, unimodular_suite
 from zonoq import (
     QIVP,
     bar_eval,
     degree1_dim,
     ehr_poly,
     ehr_tpower,
-    euler_mahonian,
     expand,
     external_spec,
     from_matrix,

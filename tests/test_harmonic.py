@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     EXPECTED_VERDICT,
     R10,
+    euler_mahonian,
     graphic,
     reference_box_graded_hilbert,
     reference_degree1_dim,
@@ -19,7 +20,6 @@ from conftest import (
 from zonoq import (
     GuardExceeded,
     degree1_dim,
-    euler_mahonian,
     expand,
     from_matrix,
     gorenstein_classify,

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import zonoq
-from conftest import fraction_kernel, fraction_rref, graphic, sweep_matrices
-from zonoq import degree1_dim, from_matrix, linalg, verify_zonotopal
+from conftest import fraction_kernel, fraction_rref, graphic, sweep_matrices, verify_zonotopal
+from zonoq import degree1_dim, from_matrix, linalg
 from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive,
                           primitive_vector, rank_int, rref_int)
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conftest import CORPUS_MATRICES, R10, graphic, reference_hilbert_dims, sweep_matrices
+from conftest import (CORPUS_MATRICES, R10, graphic, reference_hilbert_dims, sweep_matrices,
+                      verify_zonotopal)
 from zonoq import (
     GradedIdealSpec,
     GuardExceeded,
@@ -15,7 +16,6 @@ from zonoq import (
     hilbert,
     internal_spec,
     lattice_count,
-    verify_zonotopal,
 )
 from zonoq.exact import LaurentQ
 from zonoq.zonalg import _box_coordinates, _monomials

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from conftest import DIAMOND, R10, box_scan_count, graphic, sweep_matrices
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, box_scan_count, graphic,
+                      reference_lattice_count, sweep_matrices)
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, h_rep, lattice_count, tutte_count
+from zonoq import zonotope
 
 
 class TestHRep:
@@ -109,6 +111,106 @@ class TestIntervalCounting:
 
     def test_r10(self):
         self.assert_matches_box_scan(R10, ms=(1,))
+
+
+K4 = graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def steep(M):
+    """Whether a facet of Z has a coefficient of absolute value >= 2 on the
+    coordinate the walk counts by interval, the longest of the box."""
+    rows = M.realization.entries
+    last = max(range(M.d), key=lambda i: sum(map(abs, rows[i])))
+    return any(abs(f.c[last]) >= 2 for f in h_rep(M).facets)
+
+
+def change_of_basis(A, rng):
+    """U A for a random unimodular U: the same matroid and lattice counts, in
+    coordinates where facet normals have larger entries."""
+    d = len(A)
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    return [[sum(u * row[j] for u, row in zip(Ui, A)) for j in range(len(A[0]))]
+            for Ui in U]
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["one-block", "block-1", "block-7"])
+def block_entries(request, monkeypatch):
+    """BLOCK_ENTRIES as shipped, and small enough that the walk runs its outer
+    product over every prefix coordinate (1) or most of them (7)."""
+    if request.param is not None:
+        monkeypatch.setattr(zonotope, "BLOCK_ENTRIES", request.param)
+
+
+class TestColumnWalk:
+    """The column-wise walk against the per-prefix interval walk.  Each
+    check builds its matroids afresh, so no count is read from a cache
+    filled under another BLOCK_ENTRIES."""
+
+    @staticmethod
+    def assert_matches_reference(M, ms=(1, 2, 3)):
+        for m in ms:
+            for interior in (False, True):
+                assert lattice_count(M, m, interior) == \
+                    reference_lattice_count(M, m, interior), (M.realization, m, interior)
+
+    def test_unimodular_sweep(self, block_entries):
+        unimodular = [M for M in map(from_matrix, sweep_matrices()) if M.is_unimodular()]
+        assert len(unimodular) > 100
+        for M in unimodular:
+            self.assert_matches_reference(M)
+
+    def test_corpus_r10_k4(self, block_entries):
+        for A in [*CORPUS_MATRICES.values(), R10, K4]:
+            self.assert_matches_reference(from_matrix(A))
+
+    def test_corpus_thickenings(self, block_entries):
+        for A in CORPUS_MATRICES.values():
+            for k in (2, 3):
+                if k * len(A[0]) <= 16:
+                    self.assert_matches_reference(from_matrix(A).thicken(k))
+
+    def test_loops_coloops_and_d1(self, block_entries):
+        for A in ([[1]], [[1, 1, 1]], [[0, 1, 0, -1]], [[1, 0, 0, 1], [0, 0, 1, 1]],
+                  [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+                  [[0, 1, 0, 1], [1, 0, 0, 0]]):
+            self.assert_matches_reference(from_matrix(A))
+
+    def test_steep_facets(self, block_entries):
+        fixed = [[[1, 2], [1, 3]], [[1, 2, 0], [1, 3, 0], [0, 1, 1]],
+                 [[1, 2, 0], [1, 3, 0], [0, 0, 1]]]
+        rng = random.Random(7)
+        graphs = (random_graphic(rng) for _ in range(100))
+        generated = [change_of_basis(A, rng) for A in graphs if len(A) > 1]
+        matroids = [from_matrix(A) for A in fixed + generated]
+        assert all(steep(M) for M in matroids[:len(fixed)])
+        assert sum(map(steep, matroids)) > 10
+        for M in matroids:
+            self.assert_matches_reference(M, ms=(1, 2))
+
+    def test_one_walk_per_dilate(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return h_rep(M)
+        monkeypatch.setattr(zonotope, "h_rep", counted)
+        M = from_matrix(CORPUS_MATRICES["hexagon"])
+        assert (lattice_count(M, 2), lattice_count(M, 2, True)) == (19, 7)
+        assert lattice_count(M, 2, interior=False) == 19
+        assert len(calls) == 1
+        assert lattice_count(M, 3, True) == 19
+        assert len(calls) == 2
+
+    def test_box_guard_on_every_call(self):
+        M = from_matrix(CORPUS_MATRICES["boolean3"])
+        for interior in (False, True, False):
+            with pytest.raises(GuardExceeded,
+                               match=r"^bounding box volume 15813251 exceeds BOX_GUARD=10000000$"):
+                lattice_count(M, 250, interior)
 
 
 class TestStanleyCounts:
