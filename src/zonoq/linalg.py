@@ -1,12 +1,13 @@
 """Exact integer linear algebra kernels.
 
 Everything here works on plain Python ints (no floats, no rationals):
-fraction-free Bareiss elimination for small dense matrices (one forward
-loop for ranks and determinants; ``rref_int``, the Gauss-Jordan form that
-kernels are read from) and a sparse streaming echelon for large row sets.
+fraction-free Bareiss elimination for small dense matrices (a forward loop
+for ranks; ``rref_int``, the Gauss-Jordan form that kernels are read from)
+and a sparse streaming echelon for large row sets.
 
 The sparse echelon takes each row as a ``{column: value}`` dict with int
-columns; an absent column is zero.
+columns; an absent column is zero.  It reduces a copy of each row in place
+and makes the row primitive once, when it becomes a pivot.
 """
 
 from __future__ import annotations
@@ -22,24 +23,22 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _forward(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Forward Bareiss elimination: (rank, signed last pivot), the latter
-    being the determinant of a square matrix of full rank."""
+def rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by forward Bareiss elimination: each step
+    replaces a row below the pivot by (p * row - f * pivot_row) / prev,
+    exact by Sylvester's identity."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
     prev = 1
-    sign = 1
     for col in range(nc):
         for piv in range(rank, nr):
             if m[piv][col]:
                 break
         else:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
+        m[rank], m[piv] = m[piv], m[rank]
         top = m[rank]
         p = top[col]
         for i in range(rank + 1, nr):
@@ -47,23 +46,11 @@ def _forward(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
             f = row[col]
             for j in range(col + 1, nc):
                 row[j] = _exact_div(p * row[j] - f * top[j], prev)
-            row[col] = 0
         prev = p
         rank += 1
         if rank == nr:
             break
-    return rank, sign * prev
-
-
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free Gaussian elimination."""
-    return _forward(rows)[0]
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss); 1 for 0 x 0."""
-    rank, last = _forward(rows)
-    return last if rank == len(rows) else 0
+    return rank
 
 
 def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -107,43 +94,47 @@ def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
 
 def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) -> int:
     """Rank of a stream of sparse integer rows, each a ``{column: value}``
-    dict (zero entries are dropped).
+    dict (zero entries are dropped; the input rows are not modified).
 
-    Pivot rows are kept by lead (smallest) column.  An incoming row is
-    reduced at its lead by ``row = (p/g) row - (f/g) pivot`` with
-    g = gcd(p, f), then divided by the gcd of its entries, until it is zero
-    or has a lead no pivot owns.  Exits once ``stop_at`` independent rows
-    have been seen, before reading a row if it is 0.  Suited to large
-    redundant row sets (spans of ideal generators) where most rows reduce
-    to zero.
+    Pivots are kept by lead (smallest) column as (p, ((column, value), ...)):
+    the lead value and the other entries.  A copy of each row is reduced in
+    place while a pivot owns its lead f: with g = gcd(p, f), the lead is
+    popped, the rest scaled by p/g (unless 1) and (f/g) times the pivot's
+    tail subtracted.  A nonzero row whose lead has no pivot is divided by
+    the gcd of its entries and becomes one.  Exits once ``stop_at``
+    independent rows have been seen, before reading a row if it is 0.
+    Suited to large redundant row sets (spans of ideal generators) where
+    most rows reduce to zero.
     """
     if stop_at == 0:
         return 0
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     for r in rows:
         row = {j: v for j, v in r.items() if v}
+        get = row.get
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 break
-            p, f = pivot[lead], row[lead]
+            f = row.pop(lead)
+            p, tail = pivot
             g = gcd(p, f)
-            p, f = p // g, f // g
-            if p != 1:
-                row = {j: p * v for j, v in row.items()}
-            for j, v in pivot.items():
-                x = row.get(j, 0) - f * v
+            if g != p:
+                s = p // g
+                for j in row:
+                    row[j] *= s
+            f //= g
+            for j, v in tail:
+                x = get(j, 0) - f * v
                 if x:
                     row[j] = x
                 else:
                     del row[j]
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: v // g for j, v in row.items()}
         if not row:
             continue
-        pivots[lead] = row
+        g = gcd(*row.values())
+        pivots[lead] = (row.pop(lead) // g, tuple([(j, v // g) for j, v in row.items()]))
         if stop_at is not None and len(pivots) >= stop_at:
             break
     return len(pivots)

@@ -118,8 +118,9 @@ def hilbert(spec: GradedIdealSpec) -> LaurentQ:
     coordinates of ``_box_coordinates``.
 
     Degree k has the coefficient of q^k in prod_i [e_i]_q as its box
-    monomials, held to MONOMIAL_GUARD before they are enumerated; the
-    computation stops at the first zero dimension or at the box's top degree.
+    monomials, held to MONOMIAL_GUARD before they are enumerated (only in
+    degrees that some row reaches); the computation stops at the first zero
+    dimension or at the box's top degree.
     """
     if any(e == 0 for _, e in spec.generators):
         return LaurentQ.zero()
@@ -130,12 +131,13 @@ def hilbert(spec: GradedIdealSpec) -> LaurentQ:
     # ordered as _monomials, with O(1) membership
     box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
     expanded = [(_form_power(c, e, base), e) for c, e in others]
+    lowest = min((e for _, e in expanded), default=base)  # no rows below it
     dims: dict[int, int] = {}
     for k, size in sizes.items():
         if size > MONOMIAL_GUARD:
             raise GuardExceeded(
                 f"degree {k} has {size} box monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
-        cols = box(k)
+        cols = box(k) if k >= lowest else {}
         rows = ({col: co for c, co in poly.items() if (col := c + shift) in cols}
                 for poly, e in expanded if e <= k for shift in box(k - e))
         dim = size - echelon_rank(rows, stop_at=size)

@@ -1,19 +1,20 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
-elimination, subset-enumerated circuits, subset ranks and loops, the
-hyperplane sweep's skip rule as a list of zero sets, the per-minor Tutte
-recursion, dict polynomial arithmetic, term-by-term q-evaluation of a
-bivariate polynomial, the bounding-box lattice scan and the per-prefix
-interval walk, evaluation of both
-Ehrhart forms at [m]_q, q-binomial interpolation by a q-difference table and
-by products, product-based series numerators, the product forms of the
-q-integer kernels, tuple-indexed zonotopal
-elimination, and the harmonic presentation over 2^n subset variables and
-over the uniform Segre box.  It also holds the polynomial helpers only tests
-use: ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON readers; and two
-checks only tests make: ``verify_zonotopal`` (both zonotopal Hilbert series
-against their Tutte evaluations) and ``euler_mahonian`` (the n-cube's
-numerator by permutations)."""
+elimination, the sparse echelon that rebuilds its row on every step, the
+sign-tracking Bareiss determinant, subset-enumerated circuits, subset ranks
+and loops, the hyperplane sweep's skip rule as a list of zero sets, the
+per-minor Tutte recursion, dict polynomial arithmetic, term-by-term
+q-evaluation of a bivariate polynomial, the bounding-box lattice scan and
+the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
+q-binomial interpolation by a q-difference table and by products,
+product-based series numerators, the product forms of the q-integer
+kernels, tuple-indexed zonotopal elimination, and the harmonic presentation
+over 2^n subset variables and over the uniform Segre box.  It also holds
+the polynomial helpers only tests use: ``bar_q``, ``is_polynomial``,
+``y_degree`` and the JSON readers; and two checks only tests make:
+``verify_zonotopal`` (both zonotopal Hilbert series against their Tutte
+evaluations) and ``euler_mahonian`` (the n-cube's numerator by
+permutations)."""
 
 import functools
 import itertools
@@ -29,8 +30,7 @@ import pytest
 from zonoq import (QIVP, GuardExceeded, external_spec, from_matrix, h_rep,
                    hilbert, internal_spec, segre_generators)
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, qbinom
-from zonoq.linalg import (echelon_rank, nullspace_primitive, primitive_vector,
-                          rank_int, rref_int)
+from zonoq.linalg import _exact_div, nullspace_primitive, primitive_vector, rank_int, rref_int
 from zonoq.matroid import _column_to_e1
 from zonoq.zonotope import BOX_GUARD
 
@@ -616,6 +616,66 @@ def tails_bar_series_numerator(P):
                 * T[k] for k, f in enumerate(P.basis_coeffs)), PolyTQ.zero())
 
 
+def reference_echelon_rank(rows, stop_at=None):
+    """Reference sparse echelon: each reduction step builds the scaled row
+    anew and divides it by the gcd of its entries, and pivots are kept as
+    dicts.  The four elimination references below rank with it."""
+    if stop_at == 0:
+        return 0
+    pivots = {}
+    for r in rows:
+        row = {j: v for j, v in r.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                break
+            p, f = pivot[lead], row[lead]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {j: p * v for j, v in row.items()}
+            for j, v in pivot.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+        if not row:
+            continue
+        pivots[lead] = row
+        if stop_at is not None and len(pivots) >= stop_at:
+            break
+    return len(pivots)
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix by forward Bareiss elimination,
+    tracking the sign of row swaps; 1 for 0 x 0."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    prev = 1
+    sign = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
+        for row in m[col + 1:]:
+            f = row[col]
+            for j in range(col + 1, n):
+                row[j] = _exact_div(p * row[j] - f * top[j], prev)
+        prev = p
+    return sign * prev
+
+
 def reference_hilbert_dims(spec):
     """Graded dimensions of a zonotopal quotient with monomials as exponent
     tuples, columns numbered in graded-lex order per degree."""
@@ -646,7 +706,7 @@ def reference_hilbert_dims(spec):
         index = {mono: i for i, mono in enumerate(monomials(k))}
         rows = [{index[add(mono, s)]: co for mono, co in poly.items()}
                 for poly, e in expanded if e <= k for s in monomials(k - e)]
-        dim = len(index) - echelon_rank(rows, stop_at=len(index))
+        dim = len(index) - reference_echelon_rank(rows, stop_at=len(index))
         if dim == 0:
             return tuple(dims)
         dims.append(dim)
@@ -660,7 +720,7 @@ def reference_degree1_dim(M):
     """2^n less the rank of all linear generators, in one elimination."""
     nvars = 1 << M.n
     rows = (dict(g.terms) for g in segre_generators(M).linear)
-    return nvars - echelon_rank(rows, stop_at=nvars)
+    return nvars - reference_echelon_rank(rows, stop_at=nvars)
 
 
 def reference_graded_hilbert(M, m):
@@ -700,7 +760,7 @@ def reference_graded_hilbert(M, m):
     for qd, block in index.items():
         rows = ({block[mono]: co for mono, co in row.items()}
                 for row in blocks.get(qd, []))
-        dims[qd] = len(block) - echelon_rank(rows, stop_at=len(block))
+        dims[qd] = len(block) - reference_echelon_rank(rows, stop_at=len(block))
     return LaurentQ(dims)
 
 
@@ -723,7 +783,8 @@ def reference_box_graded_hilbert(M, m):
             blocks.setdefault(k, []).append(
                 {index[k][tuple(x + (j == i) for j, x in enumerate(b))]: co
                  for i, co in zip(circ.support, circ.alpha)})
-    return LaurentQ({k: len(block) - echelon_rank(blocks.get(k, []), stop_at=len(block))
+    return LaurentQ({k: len(block) - reference_echelon_rank(blocks.get(k, []),
+                                                            stop_at=len(block))
                      for k, block in index.items()})
 
 

@@ -1,7 +1,7 @@
 """The exact elimination kernels: the sparse echelon against dense Bareiss
-rank, the dense integer kernels against Fraction and Leibniz references,
-and the algebra oracles on graphic/cographic inputs beyond the n <= 6
-corpus."""
+rank and, on the oracles' own row streams, against the reference echelon;
+the dense integer kernels against Fraction and Leibniz references; and the
+algebra oracles on graphic/cographic inputs beyond the n <= 6 corpus."""
 
 import itertools
 import math
@@ -13,10 +13,13 @@ import sys
 import pytest
 
 import zonoq
-from conftest import fraction_kernel, fraction_rref, graphic, sweep_matrices, verify_zonotopal
-from zonoq import degree1_dim, from_matrix, linalg
-from zonoq.linalg import (det_int, echelon_rank, nullspace_primitive,
-                          primitive_vector, rank_int, rref_int)
+from conftest import (det_int, fraction_kernel, fraction_rref, graphic, reference_echelon_rank,
+                      sweep_matrices, unimodular_suite, verify_zonotopal)
+from zonoq import (GuardExceeded, degree1_dim, external_spec, from_matrix, harmonic, hilbert,
+                   internal_spec, linalg, zonalg)
+from zonoq.cli import ORACLE_GUARD
+from zonoq.harmonic import graded_hilbert
+from zonoq.linalg import echelon_rank, nullspace_primitive, primitive_vector, rank_int, rref_int
 
 
 def as_dicts(matrix):
@@ -94,16 +97,21 @@ class TestRowFormat:
         assert echelon_rank([{0: 0, 5: 0}]) == 0
 
 
+def consumed(kernel, rows, stop_at=None):
+    """(rank, rows read from the stream) of ``kernel`` on ``rows``."""
+    seen = []
+
+    def stream():
+        for r in rows:
+            seen.append(r)
+            yield r
+
+    return kernel(stream(), stop_at=stop_at), len(seen)
+
+
 class TestStopAt:
     def consumed(self, rows, stop_at):
-        seen = []
-
-        def stream():
-            for r in rows:
-                seen.append(r)
-                yield r
-
-        return echelon_rank(stream(), stop_at=stop_at), len(seen)
+        return consumed(echelon_rank, rows, stop_at)
 
     def test_stops_at_the_row_that_reaches_it(self):
         rows = [{0: 1}, {1: 1}, {0: 2, 1: -2}, {2: 1}, {3: 1}, {4: 1}]
@@ -121,6 +129,122 @@ class TestStopAt:
         rows = [{0: 1}, {0: 2}, {1: 1}]
         assert self.consumed(rows, 5) == (2, 3)
         assert self.consumed(rows, None) == (2, 3)
+
+
+def with_zeros(rng, matrix):
+    """Sparse rows that also hold some explicit zero entries."""
+    return [{j: v for j, v in enumerate(row) if v or rng.random() < 0.3}
+            for row in matrix]
+
+
+def chain_matrix(rng, rank, ncols, extra, bound):
+    """``rank`` rows with leads at distinct random columns, each nonzero from
+    its lead on, then ``extra`` random combinations of them, one in four plus
+    a random row: each combination meets most pivots on its way down, and
+    the dependent ones must cancel exactly.  Requires 4 * ncols > 4 * rank +
+    extra, so that the rank stays below the column count."""
+    leads = sorted(rng.sample(range(ncols), rank))
+    base = [[0] * lead + [rng.choice((1, -1)) * rng.randint(2, bound)
+                          for _ in range(ncols - lead)] for lead in leads]
+    rows = base[:]
+    for k in range(extra):
+        coeffs = [rng.randint(-3, 3) or 1 for _ in base]
+        row = [sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(ncols)]
+        if k % 4 == 3:
+            row = [x + rng.randint(-bound, bound) for x in row]
+        rows.append(row)
+    return rows
+
+
+class TestStress:
+    """Streams on which the in-place reduction rescales and divides: pivot
+    leads that are not units, long reduction chains, huge entries, explicit
+    zeros and ``stop_at`` reached mid-stream, all against dense Bareiss.
+    Each has planted dependent rows, which reduce to zero only if every
+    step is exact."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+    def test_prime_leads_rescale_every_step(self):
+        # every independent row opens with a distinct prime, so no lead
+        # divides another and each step scales the row by a non-unit p/g
+        rng = random.Random(61)
+        for _ in range(40):
+            ncols = rng.randint(4, 9)
+            base = [[p] + [rng.choice(self.PRIMES) * rng.choice((1, -1, 0))
+                           for _ in range(ncols - 1)]
+                    for p in rng.sample(self.PRIMES, rng.randint(2, ncols - 1))]
+            m = plant_dependent(rng, base, rng.randint(1, 6))
+            assert echelon_rank(with_zeros(rng, m)) == rank_int(m) == rank_int(base), m
+
+    def test_leads_two_power_times_odd(self):
+        # entries 2^k * odd share a factor g with 1 < g < p on many steps, so
+        # both p/g and f/g differ from p and f
+        rng = random.Random(67)
+        for _ in range(40):
+            ncols = rng.randint(4, 9)
+            base = [[rng.choice((1, -1)) * 2 ** rng.randint(0, 6) * rng.choice((1, 3, 5, 9, 15))
+                     if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                    for _ in range(rng.randint(2, ncols - 1))]
+            m = plant_dependent(rng, base, rng.randint(1, 6))
+            assert echelon_rank(with_zeros(rng, m)) == rank_int(m) == rank_int(base), m
+
+    @pytest.mark.parametrize("bound", [7, 10**30])
+    def test_long_chains(self, bound):
+        rng = random.Random(71)
+        for rank, ncols, extra in ((30, 36, 16), (34, 44, 24)):
+            m = chain_matrix(rng, rank, ncols, extra, bound)
+            expected = rank_int(m)
+            assert 30 <= expected < ncols
+            assert echelon_rank(with_zeros(rng, m)) == expected
+
+    def test_stop_at_mid_stream(self):
+        rng = random.Random(73)
+        reached = 0
+        for bound in (5, 10**30):
+            for _ in range(8):
+                m = chain_matrix(rng, rng.randint(3, 8), 12, rng.randint(2, 12), bound)
+                rng.shuffle(m)
+                rows = with_zeros(rng, m)
+                full = rank_int(m)
+                for stop_at in range(1, full + 2):
+                    # the first prefix whose rank reaches stop_at, else all
+                    read = next((i for i in range(1, len(m) + 1)
+                                 if rank_int(m[:i]) >= stop_at), len(m))
+                    assert consumed(echelon_rank, rows, stop_at) == \
+                        (min(stop_at, full), read), (m, stop_at)
+                    reached += read < len(m)
+        assert reached > 20
+
+
+class TestAgainstReference:
+    def test_oracle_streams(self, monkeypatch):
+        # every row stream the two elimination oracles feed the kernel on the
+        # unimodular suite at m = 1, 2 (hilbert inside ORACLE_GUARD, as in
+        # verify): the in-place kernel and the rebuilding reference agree on
+        # the rank and on the rows read under the same stop_at
+        streams = []
+
+        def record(rows, stop_at=None):
+            rows = list(rows)
+            streams.append((rows, stop_at))
+            return echelon_rank(rows, stop_at)
+
+        monkeypatch.setattr(zonalg, "echelon_rank", record)
+        monkeypatch.setattr(harmonic, "echelon_rank", record)
+        for m in (1, 2):
+            for M in unimodular_suite():
+                if M.d >= 1 and M.n * m <= ORACLE_GUARD:
+                    hilbert(external_spec(M, m))
+                    hilbert(internal_spec(M, m))
+                try:
+                    graded_hilbert(M, m)
+                except GuardExceeded:  # R10 and K5 at m = 2: 3^10 box columns
+                    pass
+        assert len(streams) > 3000
+        for rows, stop_at in streams:
+            assert consumed(echelon_rank, rows, stop_at) == \
+                consumed(reference_echelon_rank, rows, stop_at)
 
 
 def kernel_cases():

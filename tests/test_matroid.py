@@ -9,7 +9,7 @@ import random
 import pytest
 
 import zonoq.matroid as matroid
-from conftest import (CORPUS_MATRICES, DIAMOND, R10, cographic, fraction_kernel,
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, cographic, det_int, fraction_kernel,
                       graphic, product_tutte_thickened, reference_circuits,
                       reference_components, reference_loops, reference_rank,
                       reference_sweep_eliminations, reference_tutte,
@@ -17,7 +17,7 @@ from conftest import (CORPUS_MATRICES, DIAMOND, R10, cographic, fraction_kernel,
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
-from zonoq.linalg import det_int, nullspace_primitive, rank_int, rref_int
+from zonoq.linalg import nullspace_primitive, rank_int, rref_int
 
 K4 = graphic(4, list(itertools.combinations(range(4), 2)))
 K5 = graphic(5, list(itertools.combinations(range(5), 2)))

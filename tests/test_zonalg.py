@@ -16,6 +16,7 @@ from zonoq import (
     hilbert,
     internal_spec,
     lattice_count,
+    zonalg,
 )
 from zonoq.exact import LaurentQ
 from zonoq.zonalg import _box_coordinates, _monomials
@@ -126,6 +127,16 @@ class TestHilbert:
                 GuardExceeded,
                 match=r"^degree 6 has 146490 box monomials > MONOMIAL_GUARD=50000$"):
             hilbert(spec)
+
+    def test_no_box_without_a_non_pivot_generator(self, corpus, monkeypatch):
+        # boolean3's three cocircuit forms x_i^2 are all pivots: no degree
+        # has a row, so no box of monomials is enumerated
+        def refuse(*args):
+            raise AssertionError("box enumerated")
+
+        monkeypatch.setattr(zonalg, "_monomials", refuse)
+        cube = LaurentQ({0: 1, 1: 3, 2: 3, 3: 1})  # (1 + q)^3
+        assert hilbert(external_spec(corpus["boolean3"], 1)) == cube
 
     def test_external_starts_at_one_and_counts_points(self, corpus):
         for name, M in corpus.items():
