@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import gehrhart
 from .errors import GuardExceeded
@@ -94,21 +94,30 @@ class SegreGenerators:
                     linear.append(SegreLinearForm(circ.support, a_set, terms))
         return tuple(linear)
 
-    def rows(self, bounds: tuple[int, ...], k: int) -> Iterator[dict[int, int]]:
-        """The q-block k over the box prod_j {0..bounds[j]}, in mixed radix: per
-        circuit C, the rows sum_{i in C} alpha_i e_(b+e_i) over box points b
-        with b_i <= bounds[i]-1 on C and |b| = k-1.  Degree m of M itself is
-        ``bounds = (m,) * n``; at m = 1, the generators with |A| = k-1."""
-        if k < 1:
-            return
+    def rows(self, bounds: tuple[int, ...]) -> Callable[[int], Iterator[dict[int, int]]]:
+        """The rows over the box prod_j {0..bounds[j]}, in mixed radix, as a
+        function of the q-block k: per circuit C, the rows
+        sum_{i in C} alpha_i e_(b+e_i) over box points b with b_i <= bounds[i]-1
+        on C and |b| = k-1.  Degree m of M itself is ``bounds = (m,) * n``; at
+        m = 1, the generators with |A| = k-1.  Each circuit's place terms and
+        level sets are built once, here, for every block."""
         place = [math.prod(b + 1 for b in bounds[:j]) for j in range(len(bounds))]
-        for circ in self.circuits:
-            terms = [(place[i], co) for i, co in zip(circ.support, circ.alpha)]
-            levels = tuple(frozenset(w for j, w in enumerate(place) if bounds[j] > t
+        prepared = [([(place[i], co) for i, co in zip(circ.support, circ.alpha)],
+                     tuple(frozenset(w for j, w in enumerate(place) if bounds[j] > t
                                      or bounds[j] == t and j not in circ.support)
-                           for t in range(1, max(bounds) + 1))
-            for b in _chains(place[::-1], levels, k - 1):
-                yield {b + w: co for w, co in terms}
+                           for t in range(1, max(bounds) + 1)))
+                    for circ in self.circuits]
+
+        pool = place[::-1]
+
+        def block(k: int) -> Iterator[dict[int, int]]:
+            if k < 1:
+                return
+            for terms, levels in prepared:
+                for b in _chains(pool, levels, k - 1):
+                    yield {b + w: co for w, co in terms}
+
+        return block
 
 
 def _guard_variables(M: RealizedMatroid) -> None:
@@ -156,9 +165,9 @@ def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
     if ncols > COLUMN_GUARD:
         raise GuardExceeded(
             f"degree {m} has {ncols} box columns > COLUMN_GUARD={COLUMN_GUARD}")
-    gens = segre_generators(R)
+    rows = segre_generators(R).rows(bounds)
     box = functools.reduce(LaurentQ.times_qint, [b + 1 for b in bounds], LaurentQ.one())
-    return LaurentQ({k: size - echelon_rank(gens.rows(bounds, k), stop_at=size)
+    return LaurentQ({k: size - echelon_rank(rows(k), stop_at=size)
                      for k, size in box.terms.items()})
 
 

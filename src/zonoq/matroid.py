@@ -16,9 +16,13 @@ the cocircuits, and unimodularity is read off them (A is unimodular iff
 every cocircuit vector lies in {0, +-1}^n); run on a kernel basis of A, which
 realizes the dual matroid, it gives the circuits.  Connected components are
 read off the fundamental graph of one ``rref_int``.  The Tutte polynomial is
-a memoised deletion/contraction on that same solved form: a contraction drops
-a row and a column, a deletion is one fraction-free pivot step, so a matroid
-needs one ``rref_int`` however many minors the recursion visits.
+a memoised deletion/contraction on that same solved form R = D * B^-1 A, row
+i the fundamental cocircuit of the basis element pivots[i].  Loops (zero
+columns) and coloops (rows with one nonzero) factor out as powers of y and x
+before the memo is read.  The recursion branches on the pivot of the sparsest
+row: a contraction drops that row and column, a deletion swaps the row's
+sparsest column into the basis by one fraction-free pivot step.  So a
+matroid needs one ``rref_int`` however many minors the recursion visits.
 
 Ground sets are capped at 16 elements: the sweep is a subset enumeration,
 which is exact and fast at desk scale.
@@ -151,12 +155,6 @@ class RealizedMatroid:
     def cocircuits(self) -> tuple[CocircuitVector, ...]:
         return _find_cocircuits(self.realization)
 
-    def coloops(self) -> tuple[int, ...]:
-        """The pivot columns of ``rref_int(A)`` whose row is zero off the
-        pivot, i.e. that no other column needs."""
-        pivots, R = rref_int(self.realization.entries)
-        return tuple(pc for pc, row in zip(pivots, R) if row.count(0) == self.n - 1)
-
     # -- unimodularity ------------------------------------------------------
 
     @invariant
@@ -170,26 +168,6 @@ class RealizedMatroid:
         the entries of B^-1 A are maximal minors (Cramer's rule).
         """
         return all(-1 <= x <= 1 for cc in self.cocircuits for x in cc.v)
-
-    # -- minors ---------------------------------------------------------------
-
-    def delete(self, i: int) -> "RealizedMatroid":
-        if not 0 <= i < self.n:
-            raise ValueError("element out of range")
-        if i in self.coloops():
-            raise ValueError(f"cannot delete coloop {i}")
-        rows = tuple(r[:i] + r[i + 1:] for r in self.realization.entries)
-        return _from_realization(Realization(self.d, self.n - 1, rows))
-
-    def contract(self, i: int) -> "RealizedMatroid":
-        if not 0 <= i < self.n:
-            raise ValueError("element out of range")
-        if not any(self.realization.column(i)):
-            raise ValueError(f"cannot contract loop {i}")
-        rows = _column_to_e1([list(r) for r in self.realization.entries], i)
-        new = tuple(tuple(v for j, v in enumerate(r) if j != i)
-                    for r in rows[1:])
-        return _from_realization(Realization(self.d - 1, self.n - 1, new))
 
     # -- thickening ------------------------------------------------------------
 
@@ -316,87 +294,61 @@ def _find_cocircuits(rz: Realization) -> tuple[CocircuitVector, ...]:
     return tuple(sorted(found, key=lambda cc: cc.v))
 
 
-# -- contraction transform ----------------------------------------------------
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _column_to_e1(rows: list[list[int]], j: int) -> list[list[int]]:
-    """Apply determinant +-1 integer row operations so column j becomes
-    (g, 0, ..., 0) with g = gcd of the column."""
-    d = len(rows)
-    for i in range(1, d):
-        a, b = rows[0][j], rows[i][j]
-        if b == 0:
-            continue
-        if a == 0:
-            rows[0], rows[i] = rows[i], rows[0]
-            continue
-        g, s, t = _xgcd(a, b)
-        r0 = [s * x + t * y for x, y in zip(rows[0], rows[i])]
-        ri = [-(b // g) * x + (a // g) * y for x, y in zip(rows[0], rows[i])]
-        rows[0], rows[i] = r0, ri
-    if rows and rows[0][j] < 0:
-        rows[0] = [-x for x in rows[0]]
-    return rows
-
-
 # -- Tutte via memoized deletion/contraction -----------------------------------
 
 _TUTTE_MEMO: dict[tuple, BiPolyXY] = {}
 
 
 def _tutte_solved(pivots: list[int], R: list[list[int]], n: int) -> BiPolyXY:
-    """Deletion/contraction on a solved form: R is a nonzero multiple of the
-    reduced row echelon form of an n-column matrix, with pivot columns B.
+    """Deletion/contraction on a solved form R = D * B^-1 A of an n-column
+    matrix A: row i belongs to the pivot column pivots[i] of the basis B, and
+    is the fundamental cocircuit of that basis element.  Rows are kept in
+    pivot-column order; R is a reduced row echelon form only at the start.
 
-    The memo key, the columns of R made primitive and sorted, is invariant
-    under row operations and column scaling, so minors reached in different
-    orders, or from different matroids, share an entry: equal keys describe
-    isomorphic configurations.  The first element that is neither a loop
-    nor a coloop is the pivot e of the first row of R with two nonzeros.
-    Contracting e drops its row and column; deleting it swaps f, the first
-    nonzero of e's row after e, into B by one fraction-free pivot step
-    ``(p * row - row[f] * top) / D``, exact by Sylvester's identity.
+    Coloops (rows with a single nonzero) and loops (zero columns) factor out
+    as x^#coloops y^#loops.  The rest is memoised under its rank and its
+    columns made primitive and sorted, a key invariant under row operations
+    and column scaling, so minors reached in different orders, or from
+    different matroids, share an entry: equal keys describe isomorphic
+    configurations.  The recursion branches on the pivot e of the row with
+    the fewest nonzeros, the sparsest fundamental cocircuit.  Contracting e
+    drops its row and column; deleting it swaps f, the element of e's row
+    whose column has the fewest nonzeros, into B by one fraction-free pivot
+    step ``(p * row - row[f] * top) / D``, exact by Sylvester's identity.
+    Ties go to the first row and the first column.
     """
-    if not n:
-        return BiPolyXY.one()
-    d = len(pivots)
-    key = (d, tuple(sorted(map(primitive_vector, zip(*R))))) if d else (0, n)
-    hit = _TUTTE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    i = next((i for i, row in enumerate(R) if row.count(0) < n - 1), None)
-    if i is None:  # only coloops and loops
-        result = BiPolyXY.monomial(d, n - d)
-    else:
+    core = [i for i, row in enumerate(R) if row.count(0) < n - 1]
+    coloops = len(R) - len(core)
+    if not core:  # only coloops and loops
+        return BiPolyXY.monomial(coloops, n - coloops)
+    cols = list(zip(*[R[i] for i in core]))  # coloop columns are zero here
+    keep = [j for j, col in enumerate(cols) if any(col)]
+    rest = [cols[j] for j in keep] if len(keep) < n else cols
+    key = (len(core), tuple(sorted(map(primitive_vector, rest))))
+    T = _TUTTE_MEMO.get(key)
+    if T is None:
+        if len(keep) < n:  # strip the coloops and loops
+            at = {j: k for k, j in enumerate(keep)}
+            pivots = [at[pivots[i]] for i in core]
+            R = [list(row) for row in zip(*rest)]
+        zeros = [col.count(0) for col in rest]
+        i = max(range(len(R)), key=lambda r: R[r].count(0))
         top, e = R[i], pivots[i]
-        rest_pivots, rest = pivots[:i] + pivots[i + 1:], R[:i] + R[i + 1:]
-        f = next(j for j in range(e + 1, n) if top[j])
+        f = max((j for j, a in enumerate(top) if a and j != e), key=zeros.__getitem__)
         p, D = top[f], top[e]
+        rest_pivots, others = pivots[:i] + pivots[i + 1:], R[:i] + R[i + 1:]
         stepped = [row if not row[f] and p == D else
                    [(p * a - row[f] * b) // D for a, b in zip(row, top)]
-                   for row in rest]
+                   for row in others]
         k = bisect.bisect(rest_pivots, f)
-        deleted = _drop_column(e, rest_pivots[:k] + [f] + rest_pivots[k:],
-                               stepped[:k] + [top] + stepped[k:])
-        result = (_tutte_solved(*deleted, n - 1)
-                  + _tutte_solved(*_drop_column(e, rest_pivots, rest), n - 1))
-    _TUTTE_MEMO[key] = result
-    return result
+        T = (_tutte_solved(*_drop_column(e, rest_pivots[:k] + [f] + rest_pivots[k:],
+                                         stepped[:k] + [top] + stepped[k:]), len(rest) - 1)
+             + _tutte_solved(*_drop_column(e, rest_pivots, others), len(rest) - 1))
+        _TUTTE_MEMO[key] = T
+    loops = n - coloops - len(rest)
+    if coloops or loops:
+        T = BiPolyXY._make(T.lo + coloops, [g.shift(loops) for g in T.c])
+    return T
 
 
 def _drop_column(e: int, pivots: list[int], R: list[list[int]]

@@ -140,4 +140,4 @@ def tutte_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
         raise ValueError("dilate m must be >= 1")
     num = m - 1 if interior else m + 1
     T = M.tutte()
-    return sum(c * num**a * m**(M.d - a) for (a, b), c in T.items())
+    return sum(sum(g.c) * num**a * m**(M.d - a) for a, g in enumerate(T.c, T.lo))

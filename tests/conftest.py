@@ -3,19 +3,21 @@ the references that the fast kernels are tested against: Fraction
 elimination, the sparse echelon that rebuilds its row on every step, the
 sign-tracking Bareiss determinant, subset-enumerated circuits, subset ranks
 and loops, the hyperplane sweep's skip rule as a list of zero sets, the
-per-minor Tutte recursion, dict polynomial arithmetic, term-by-term
-q-evaluation of a bivariate polynomial, the bounding-box lattice scan and
-the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
+first-row solved-form and the per-minor Tutte recursions, dict polynomial
+arithmetic, term-by-term q-evaluation of a bivariate polynomial, the
+bounding-box lattice scan and the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
 q-binomial interpolation by a q-difference table and by products,
 product-based series numerators, the product forms of the q-integer
 kernels, tuple-indexed zonotopal elimination, and the harmonic presentation
 over 2^n subset variables and over the uniform Segre box.  It also holds
-the polynomial helpers only tests use: ``bar_q``, ``is_polynomial``,
-``y_degree`` and the JSON readers; and two checks only tests make:
+the helpers only tests use: single-element ``delete`` and ``contract``,
+``coloops``, ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON
+readers; and two checks only tests make:
 ``verify_zonotopal`` (both zonotopal Hilbert series against their Tutte
 evaluations) and ``euler_mahonian`` (the n-cube's numerator by
 permutations)."""
 
+import bisect
 import functools
 import itertools
 import math
@@ -31,7 +33,7 @@ from zonoq import (QIVP, GuardExceeded, external_spec, from_matrix, h_rep,
                    hilbert, internal_spec, segre_generators)
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, qbinom
 from zonoq.linalg import _exact_div, nullspace_primitive, primitive_vector, rank_int, rref_int
-from zonoq.matroid import _column_to_e1
+from zonoq.matroid import Realization, _drop_column, _from_realization
 from zonoq.zonotope import BOX_GUARD
 
 FACTORIAL_GUARD = 8
@@ -84,6 +86,26 @@ def cographic(vertices, edges):
     return [[-int(R[i][d + k]) for i in range(d)]
             + [int(k == l) for l in range(len(edges) - d)]
             for k in range(len(edges) - d)]
+
+
+def wheel(spokes):
+    """``graphic`` of the wheel with ``spokes`` spokes, spokes first: rank
+    ``spokes``, 2 * ``spokes`` elements."""
+    return graphic(spokes + 1, [(0, i) for i in range(1, spokes + 1)]
+                   + [(i, i % spokes + 1) for i in range(1, spokes + 1)])
+
+
+def change_of_basis(A, rng):
+    """U A for a random unimodular U: the same matroid and lattice counts, in
+    coordinates where facet normals have larger entries."""
+    d = len(A)
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+    return [[sum(u * row[j] for u, row in zip(Ui, A)) for j in range(len(A[0]))]
+            for Ui in U]
 
 
 def sweep_matrices():
@@ -227,11 +249,128 @@ def reference_components(n, circuits):
     return sorted((tuple(g), frozenset(g) in supports) for g in groups.values())
 
 
+# -- single-element minors and the contraction transform ----------------------
+# Deletion and contraction of one element as new matroids, and the coloops
+# of a matroid, read off ``rref_int``; tests use them to check Tutte polynomials
+# and the sweep against the minors they describe.
+
+
+def coloops(M):
+    """The pivot columns of ``rref_int(A)`` whose row is zero off the pivot,
+    i.e. that no other column needs."""
+    pivots, R = rref_int(M.realization.entries)
+    return tuple(pc for pc, row in zip(pivots, R) if row.count(0) == M.n - 1)
+
+
+def delete(M, i):
+    if not 0 <= i < M.n:
+        raise ValueError("element out of range")
+    if i in coloops(M):
+        raise ValueError(f"cannot delete coloop {i}")
+    rows = tuple(r[:i] + r[i + 1:] for r in M.realization.entries)
+    return _from_realization(Realization(M.d, M.n - 1, rows))
+
+
+def contract(M, i):
+    if not 0 <= i < M.n:
+        raise ValueError("element out of range")
+    if not any(M.realization.column(i)):
+        raise ValueError(f"cannot contract loop {i}")
+    rows = _column_to_e1([list(r) for r in M.realization.entries], i)
+    new = tuple(tuple(v for j, v in enumerate(r) if j != i)
+                for r in rows[1:])
+    return _from_realization(Realization(M.d - 1, M.n - 1, new))
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+        old_t, t = t, old_t - quot * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _column_to_e1(rows, j):
+    """Apply determinant +-1 integer row operations so column j becomes
+    (g, 0, ..., 0) with g = gcd of the column."""
+    d = len(rows)
+    for i in range(1, d):
+        a, b = rows[0][j], rows[i][j]
+        if b == 0:
+            continue
+        if a == 0:
+            rows[0], rows[i] = rows[i], rows[0]
+            continue
+        g, s, t = _xgcd(a, b)
+        r0 = [s * x + t * y for x, y in zip(rows[0], rows[i])]
+        ri = [-(b // g) * x + (a // g) * y for x, y in zip(rows[0], rows[i])]
+        rows[0], rows[i] = r0, ri
+    if rows and rows[0][j] < 0:
+        rows[0] = [-x for x in rows[0]]
+    return rows
+
+
+# -- the first-row solved-form Tutte recursion ----------------------------------
+# Deletion/contraction on one solved form that branches on the first row of R
+# with two nonzeros and keys its memo with loops and coloops still inside: the
+# recursion ``RealizedMatroid.tutte`` ran before it branched on the sparsest
+# fundamental cocircuit.  It keeps a memo of its own.
+
+_REFERENCE_SOLVED_MEMO = {}
+
+
+def reference_tutte_solved(pivots, R, n):
+    """Deletion/contraction on a solved form: R is a nonzero multiple of the
+    reduced row echelon form of an n-column matrix, with pivot columns B.
+
+    The memo key, the columns of R made primitive and sorted, is invariant
+    under row operations and column scaling, so minors reached in different
+    orders, or from different matroids, share an entry: equal keys describe
+    isomorphic configurations.  The first element that is neither a loop
+    nor a coloop is the pivot e of the first row of R with two nonzeros.
+    Contracting e drops its row and column; deleting it swaps f, the first
+    nonzero of e's row after e, into B by one fraction-free pivot step
+    ``(p * row - row[f] * top) / D``, exact by Sylvester's identity.
+    """
+    if not n:
+        return BiPolyXY.one()
+    d = len(pivots)
+    key = (d, tuple(sorted(map(primitive_vector, zip(*R))))) if d else (0, n)
+    hit = _REFERENCE_SOLVED_MEMO.get(key)
+    if hit is not None:
+        return hit
+    i = next((i for i, row in enumerate(R) if row.count(0) < n - 1), None)
+    if i is None:  # only coloops and loops
+        result = BiPolyXY.monomial(d, n - d)
+    else:
+        top, e = R[i], pivots[i]
+        rest_pivots, rest = pivots[:i] + pivots[i + 1:], R[:i] + R[i + 1:]
+        f = next(j for j in range(e + 1, n) if top[j])
+        p, D = top[f], top[e]
+        stepped = [row if not row[f] and p == D else
+                   [(p * a - row[f] * b) // D for a, b in zip(row, top)]
+                   for row in rest]
+        k = bisect.bisect(rest_pivots, f)
+        deleted = _drop_column(e, rest_pivots[:k] + [f] + rest_pivots[k:],
+                               stepped[:k] + [top] + stepped[k:])
+        result = (reference_tutte_solved(*deleted, n - 1)
+                  + reference_tutte_solved(*_drop_column(e, rest_pivots, rest), n - 1))
+    _REFERENCE_SOLVED_MEMO[key] = result
+    return result
+
+
 # -- the per-minor Tutte recursion ---------------------------------------------
 # Deletion/contraction on raw columns, with a fresh ``rref_int`` per minor for
 # the memo key and the coloops, and an xgcd column reduction per contraction:
 # the recursion ``RealizedMatroid.tutte`` ran before it worked on one solved
-# form.  Its memo keys are the ones the solved form must produce.
+# form.  Every memo entry of the solved form is checked against it.
 
 
 def _reference_signature(cols, d):

@@ -14,6 +14,7 @@ from conftest import (CORPUS_MATRICES, DIAMOND, R10, graphic, laurent_from_json,
 import zonoq
 from zonoq.cli import run
 from zonoq import graded_count, series
+from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
 
 HEXAGON_DOC = {"name": "hexagon", "d": 2, "n": 3,
                "matrix": [[1, 0, 1], [0, 1, 1]]}
@@ -183,6 +184,58 @@ class TestVerify:
         assert code == 1
         assert doc["status"] == "fail"
         assert any(w.startswith("thickening") for w in doc["witnesses"])
+
+    # one forced failure per check kind on the hexagon at --m-max 2: the
+    # patched target, its stand-in and every witness line, in full
+    FORCED_FAILURES = {
+        "lattice-vs-tutte": (
+            "zonoq.zonotope.lattice_count", lambda M, m, interior=False: 0,
+            ["lattice-vs-tutte [m=1]: enumerated 0, tutte 7, graded(q=1) 7",
+             "lattice-vs-tutte [m=1 interior]: enumerated 0, tutte 1, graded(q=1) 1",
+             "lattice-vs-tutte [m=2]: enumerated 0, tutte 19, graded(q=1) 19",
+             "lattice-vs-tutte [m=2 interior]: enumerated 0, tutte 7, graded(q=1) 7"]),
+        "zonalg-vs-graded": (
+            "zonoq.zonalg.hilbert", lambda spec: LaurentQ.one(),
+            ["zonalg-vs-graded [m=1]: external 1, internal 1",
+             "zonalg-vs-graded [m=2]: external 1, internal 1"]),
+        "series-vs-counts": (
+            "zonoq.cli.expand", lambda s, k: [LaurentQ.one()] * (k + 1),
+            ["series-vs-counts [orders 0..2]: series [1, 1, 1] interior [1, 1, 1]"]),
+        "reciprocity": (
+            "zonoq.gehrhart.reciprocity_check", lambda M, m: False,
+            ["reciprocity [m_max=2]: numerator or value identity failed"]),
+        "degree1-dim": (
+            "zonoq.harmonic.degree1_dim", lambda M: 0,
+            ["degree1-dim []: dim 0 != T(2,1) 7"]),
+        "thickening": (
+            "zonoq.cli.tutte_thickened", lambda T, d, m: T,
+            ["thickening [m=2]: y + 3*y^2 + 2*y^3 + y^4 + x + 3*xy + x^2"
+             " != y + x + x^2"]),
+    }
+
+    @pytest.mark.parametrize("check", list(FORCED_FAILURES))
+    def test_forced_failure_witness(self, hexagon_file, capsys, monkeypatch, check):
+        target, stand_in, expected = self.FORCED_FAILURES[check]
+        monkeypatch.setattr(target, stand_in)
+        code, doc = run_json(capsys, ["verify", hexagon_file, "--m-max", "2"])
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["witnesses"] == expected
+        assert {c["check"] for c in doc["checks"] if c["status"] == "fail"} == {check}
+
+    def test_passing_checks_format_no_witness(self, tmp_path, capsys, monkeypatch):
+        # a witness is formatted only for a failed check, so no polynomial
+        # is printed on a passing run
+        def refuse(self):
+            raise AssertionError("a passing check formatted its witness")
+
+        for cls in (LaurentQ, PolyTQ, BiPolyXY):
+            monkeypatch.setattr(cls, "__repr__", refuse)
+        K4 = graphic(4, list(itertools.combinations(range(4), 2)))
+        for name, matrix in (("K4", K4), ("hexagon", HEXAGON_DOC["matrix"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "matrix": matrix}))
+            code, doc = run_json(capsys, ["verify", str(path), "--m-max", "3"])
+            assert code == 0 and doc["status"] == "pass", name
 
     @pytest.mark.parametrize("m_max", ["0", "-1"])
     def test_m_max_below_one_exits_2(self, hexagon_file, capsys, m_max):

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     EXPECTED_VERDICT,
     R10,
+    contract,
     euler_mahonian,
     graphic,
     reference_box_graded_hilbert,
@@ -260,7 +261,7 @@ class TestSignClasses:
         self.check(from_matrix(self.CASES[name]), name)
 
     def test_d0_minor(self):
-        M = from_matrix([[1, 1]]).contract(0)
+        M = contract(from_matrix([[1, 1]]), 0)
         assert (M.d, M.n) == (0, 1)
         assert harmonic._sign_classes(M)[1] == (1,)
         self.check(M, "d0")

@@ -4,16 +4,18 @@ components."""
 import collections
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
 import zonoq.matroid as matroid
-from conftest import (CORPUS_MATRICES, DIAMOND, R10, cographic, det_int, fraction_kernel,
-                      graphic, product_tutte_thickened, reference_circuits,
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, change_of_basis, cographic, coloops,
+                      contract, delete, det_int, fraction_kernel, graphic,
+                      product_tutte_thickened, reference_circuits,
                       reference_components, reference_loops, reference_rank,
                       reference_sweep_eliminations, reference_tutte,
-                      sweep_matrices)
+                      reference_tutte_solved, sweep_matrices, wheel)
 from zonoq import GuardExceeded, from_matrix, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
@@ -29,6 +31,25 @@ BOOLEAN8 = [[int(i == j) for j in range(8)] for i in range(8)]
 COGRAPHIC_7X12 = cographic(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2),
                                (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 5)])
 
+
+def generated_graphic_cographic():
+    """Graphic and cographic matrices of seeded random connected graphs on
+    3-6 vertices, up to 12 edges, each under a random unimodular change of
+    basis, with some columns negated."""
+    rng = random.Random(22)
+    mats = []
+    while len(mats) < 24:
+        v = rng.randint(3, 6)
+        edges = [(rng.randrange(i), i) for i in range(1, v)]  # a spanning tree
+        edges += [tuple(rng.sample(range(v), 2)) for _ in range(rng.randint(1, 12 - v))]
+        for A in (graphic(v, edges), cographic(v, edges)):
+            if len(A) > 1:
+                flips = [rng.choice((1, -1)) for _ in edges]
+                mats.append([[a * s for a, s in zip(row, flips)]
+                             for row in change_of_basis(A, rng)])
+    return mats
+
+
 # fresh matroids per call, so no Tutte polynomial is cached on them yet
 TUTTE_REFERENCE_CASES = {
     "sweep": lambda: [from_matrix(A) for A in sweep_matrices()],
@@ -37,7 +58,19 @@ TUTTE_REFERENCE_CASES = {
     "thickenings": lambda: [from_matrix(A).thicken(m)
                             for A in CORPUS_MATRICES.values()
                             for m in range(2, 16 // len(A[0]) + 1)],
+    "generated": lambda: [from_matrix(A) for A in generated_graphic_cographic()],
 }
+
+
+def assert_memo_holds_cores():
+    """Every ``_TUTTE_MEMO`` entry, rebuilt as the configuration its key
+    describes, is that configuration's Tutte polynomial by the per-minor
+    recursion, and no key holds a zero column (a loop) or a coloop."""
+    for (d, cols), T in matroid._TUTTE_MEMO.items():
+        assert d >= 1 and all(any(col) for col in cols), cols
+        core = from_matrix([list(row) for row in zip(*cols)])
+        assert coloops(core) == (), cols
+        assert reference_tutte(core)[0] == T, cols
 
 
 def brute_independent_sets(M) -> int:
@@ -94,7 +127,7 @@ def rank_zero_minors():
     out = []
     for A in ([[1, 1]], [[1, 0, 1]], [[1, 1, 1]]):
         M = from_matrix(A)
-        out += [M.contract(i) for i in range(M.n) if A[0][i]]
+        out += [contract(M, i) for i in range(M.n) if A[0][i]]
     return out
 
 
@@ -353,21 +386,22 @@ class TestTutte:
         for A in sweep_matrices():
             M = from_matrix(A)
             everything = set(range(M.n))
-            assert M.coloops() == tuple(
+            assert coloops(M) == tuple(
                 j for j in range(M.n) if reference_rank(M, everything - {j}) < M.d), A
-            counts.add(min(len(M.coloops()), 2))
+            counts.add(min(len(coloops(M)), 2))
         assert counts == {0, 1, 2}
 
     @pytest.mark.parametrize("group", list(TUTTE_REFERENCE_CASES))
     def test_matches_reference(self, group, monkeypatch):
-        # From a cold memo each: equal polynomials and the same memo keys,
-        # stored in the same order, so the solved-form recursion visits the
-        # minors of the per-minor recursion in the same order.
+        # From a cold memo each: the polynomials of both references, and a
+        # memo of loop- and coloop-free configurations whose entries are
+        # their Tutte polynomials, whatever order the minors were visited in.
         for M in TUTTE_REFERENCE_CASES[group]():
             monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
-            T, memo = reference_tutte(M)
+            T, _ = reference_tutte(M)
             assert M.tutte() == T, M.realization
-            assert list(matroid._TUTTE_MEMO) == list(memo), M.realization
+            assert reference_tutte_solved(*rref_int(M.realization.entries), M.n) == T
+            assert_memo_holds_cores()
 
     def test_one_rref_per_matroid(self, monkeypatch):
         calls = []
@@ -380,12 +414,31 @@ class TestTutte:
         monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
         from_matrix(K5).tutte()
         assert len(calls) == 1
-        # the per-minor recursion made one per minor visited, and stored 59
-        assert len(matroid._TUTTE_MEMO) == 59
+        # 31 loop- and coloop-free minors; keyed with their loops and
+        # coloops, branching on the first row, the memo held 59
+        assert len(matroid._TUTTE_MEMO) == 31
+
+    @pytest.mark.parametrize("A, m, calls", [
+        (K5, 1, 63), (wheel(8), 1, 85), (K4, 2, 43),
+    ], ids=["K5", "wheel8", "K4_thick2"])
+    def test_call_counts(self, A, m, calls, monkeypatch):
+        # pins the branching rule: a change of row or column choice moves
+        # them (branching on the first row, they were 91, 805 and 107)
+        seen = []
+        solved = matroid._tutte_solved
+
+        def counted(*args):
+            seen.append(1)
+            return solved(*args)
+
+        monkeypatch.setattr(matroid, "_tutte_solved", counted)
+        monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
+        from_matrix(A).thicken(m).tutte()
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("build, expected", [
         # a d = 0 minor: one loop
-        (lambda: from_matrix([[1, 1]]).contract(0), {(0, 1): 1}),
+        (lambda: contract(from_matrix([[1, 1]]), 0), {(0, 1): 1}),
         # a loop in column 0
         (lambda: from_matrix([[0, 1, 1]]), {(1, 1): 1, (0, 2): 1}),
         # a coloop before the first element that is neither
@@ -400,40 +453,60 @@ class TestTutte:
     def test_edge_cases(self, build, expected, monkeypatch):
         monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
         M = build()
-        T, memo = reference_tutte(M)
+        T, _ = reference_tutte(M)
         assert M.tutte() == T == BiPolyXY(expected)
-        assert list(matroid._TUTTE_MEMO) == list(memo)
+        assert_memo_holds_cores()
 
     def test_deletion_contraction_identity(self, corpus):
         rng = random.Random(17)
         for M in corpus.values():
-            loops, coloops = set(reference_loops(M)), set(M.coloops())
+            loops, skip = set(reference_loops(M)), set(coloops(M))
             candidates = [j for j in range(M.n)
-                          if j not in loops and j not in coloops]
+                          if j not in loops and j not in skip]
             if not candidates:
                 continue
             i = rng.choice(candidates)
-            assert M.tutte() == M.delete(i).tutte() + M.contract(i).tutte()
+            assert M.tutte() == delete(M, i).tutte() + contract(M, i).tutte()
+
+
+class TestTutteGuardScale:
+    """Tutte polynomials past GROUND_GUARD, which is lifted here only."""
+
+    @pytest.mark.parametrize("A", [
+        wheel(8), wheel(9), wheel(10), wheel(11),
+        graphic(7, list(itertools.combinations(range(7), 2))),
+        graphic(8, list(itertools.combinations(range(8), 2))),
+    ], ids=["wheel8", "wheel9", "wheel10", "wheel11", "K7", "K8"])
+    def test_against_counts_and_reference(self, A, monkeypatch):
+        monkeypatch.setattr(matroid, "GROUND_GUARD", 28)
+        monkeypatch.setattr(matroid, "_TUTTE_MEMO", {})
+        M = from_matrix(A)
+        T = M.tutte()
+        assert T.eval_int(2, 2) == 2**M.n
+        # Kirchhoff: spanning trees = det of the reduced Laplacian A A^T
+        laplacian = [[sum(map(operator.mul, u, v)) for v in A] for u in A]
+        assert T.eval_int(1, 1) == det_int(laplacian)
+        assert T == reference_tutte_solved(*rref_int(A), M.n)
 
 
 class TestMinor:
     def test_delete(self, hexagon):
-        assert hexagon.delete(2).tutte() == BiPolyXY({(2, 0): 1})
+        assert delete(hexagon, 2).tutte() == BiPolyXY({(2, 0): 1})
 
     def test_contract(self, hexagon):
-        got = hexagon.contract(2)
+        got = contract(hexagon, 2)
         assert (got.d, got.n) == (1, 2)
         assert got.tutte() == BiPolyXY({(1, 0): 1, (0, 1): 1})
 
     def test_contract_loop_rejected(self):
         M = from_matrix([[1, 0]])
         with pytest.raises(ValueError):
-            M.contract(1)
+            contract(M, 1)
 
     def test_delete_coloop_rejected(self):
         M = from_matrix([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
-            M.delete(0)
+            delete(M, 0)
 
 
 class TestThicken:

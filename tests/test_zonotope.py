@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import (CORPUS_MATRICES, DIAMOND, R10, box_scan_count, graphic,
-                      reference_lattice_count, sweep_matrices)
+from conftest import (CORPUS_MATRICES, DIAMOND, R10, box_scan_count, change_of_basis,
+                      graphic, reference_lattice_count, sweep_matrices)
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, h_rep, lattice_count, tutte_count
 from zonoq import zonotope
 
@@ -122,19 +122,6 @@ def steep(M):
     rows = M.realization.entries
     last = max(range(M.d), key=lambda i: sum(map(abs, rows[i])))
     return any(abs(f.c[last]) >= 2 for f in h_rep(M).facets)
-
-
-def change_of_basis(A, rng):
-    """U A for a random unimodular U: the same matroid and lattice counts, in
-    coordinates where facet normals have larger entries."""
-    d = len(A)
-    U = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(rng.randint(1, 4)):
-        i, j = rng.sample(range(d), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-    return [[sum(u * row[j] for u, row in zip(Ui, A)) for j in range(len(A[0]))]
-            for Ui in U]
 
 
 @pytest.fixture(params=[None, 1, 7], ids=["one-block", "block-1", "block-7"])
