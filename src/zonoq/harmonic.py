@@ -15,7 +15,9 @@ b_i and b_i', and any other circuit meets such a class at most once; so a
 class of p columns equal up to sign (or of p loops) is one coordinate in
 {0..m*p}, under the circuit rows of R, the matroid of one column per class.
 Columns are box points in mixed radix (at m = 1 with no repeated column,
-subset bitmasks), eliminated one q-block |b| at a time.
+subset bitmasks), eliminated one q-block |b| at a time; each circuit's
+points are picked, by weight, out of tables of the two halves of the box
+that ``linalg.box_table`` lists once per slice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterator
 from . import gehrhart
 from .errors import GuardExceeded
 from .exact import LaurentQ, PolyTQ
-from .linalg import echelon_rank
+from .linalg import box_table, echelon_rank
 from .matroid import CircuitRep, Realization, RealizedMatroid, invariant
 
 VARIABLE_GUARD = 14          # at most 2^14 z-variables
@@ -53,24 +55,6 @@ class SegreLinearForm:
 class GorensteinVerdict:
     verdict: str
     witness: tuple[int, ...] | None = None
-
-
-def _chains(pool: tuple[int, ...], levels: tuple[frozenset[int], ...],
-            s: int) -> Iterator[int]:
-    """Each box point b with |b| = s as the place values summed over its
-    level sets S_t = {j : b_j >= t}, S_t drawn from S_(t-1) within
-    ``levels[t-1]`` and S_0 = ``pool``: with one level, one combinations walk."""
-    allowed, rest = levels[0], levels[1:]
-    pool = tuple(w for w in pool if w in allowed)
-    if not rest:
-        for S in itertools.combinations(pool, s):
-            yield sum(S)
-        return
-    for a in range(-(-s // len(levels)), min(s, len(pool)) + 1):
-        for S in itertools.combinations(pool, a):
-            head = sum(S)
-            for tail in _chains(S, rest, s - a):
-                yield head + tail
 
 
 @dataclass(frozen=True)
@@ -99,23 +83,27 @@ class SegreGenerators:
         function of the q-block k: per circuit C, the rows
         sum_{i in C} alpha_i e_(b+e_i) over box points b with b_i <= bounds[i]-1
         on C and |b| = k-1.  Degree m of M itself is ``bounds = (m,) * n``; at
-        m = 1, the generators with |A| = k-1.  Each circuit's place terms and
-        level sets are built once, here, for every block."""
-        place = [math.prod(b + 1 for b in bounds[:j]) for j in range(len(bounds))]
-        prepared = [([(place[i], co) for i, co in zip(circ.support, circ.alpha)],
-                     tuple(frozenset(w for j, w in enumerate(place) if bounds[j] > t
-                                     or bounds[j] == t and j not in circ.support)
-                           for t in range(1, max(bounds) + 1)))
-                    for circ in self.circuits]
+        m = 1, the generators with |A| = k-1.
 
-        pool = place[::-1]
+        A block's points of weight k-1 are x + y, x of weight a in the
+        ``box_table`` of the first half of the coordinates and y of weight
+        k-1-a in that of the rest, both built once, here.  A value is the
+        point's column shifted past n bits that flag its coordinates at their
+        bound; a circuit takes the points with none of its flags set."""
+        n = len(bounds)
+        place = [math.prod(b + 1 for b in bounds[:j]) for j in range(n)]
+        digits = [[e * place[j] << n | (e == b) << j for e in range(b + 1)]
+                  for j, b in enumerate(bounds)]
+        low, high = box_table(digits[:n // 2]), box_table(digits[n // 2:])
+        prepared = [([(place[i], co) for i, co in zip(circ.support, circ.alpha)],
+                     sum(1 << i for i in circ.support)) for circ in self.circuits]
 
         def block(k: int) -> Iterator[dict[int, int]]:
-            if k < 1:
-                return
-            for terms, levels in prepared:
-                for b in _chains(pool, levels, k - 1):
-                    yield {b + w: co for w, co in terms}
+            points = [x + y for a in range(max(0, k - len(high)), min(k, len(low)))
+                      for y in high[k - 1 - a] for x in low[a]]
+            for terms, flags in prepared:
+                yield from ({(b >> n) + w: co for w, co in terms}
+                            for b in points if not b & flags)
 
         return block
 

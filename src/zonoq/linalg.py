@@ -7,7 +7,8 @@ and a sparse streaming echelon for large row sets.
 
 The sparse echelon takes each row as a ``{column: value}`` dict with int
 columns; an absent column is zero.  It reduces a copy of each row in place
-and makes the row primitive once, when it becomes a pivot.
+and makes the row primitive once, when it becomes a pivot.  ``box_table``
+lists the box points, by weight, that both elimination oracles take as columns.
 """
 
 from __future__ import annotations
@@ -97,12 +98,13 @@ def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) 
     dict (zero entries are dropped; the input rows are not modified).
 
     Pivots are kept by lead (smallest) column as (p, ((column, value), ...)):
-    the lead value and the other entries.  A copy of each row is reduced in
-    place while a pivot owns its lead f: with g = gcd(p, f), the lead is
-    popped, the rest scaled by p/g (unless 1) and (f/g) times the pivot's
-    tail subtracted.  A nonzero row whose lead has no pivot is divided by
-    the gcd of its entries and becomes one.  Exits once ``stop_at``
-    independent rows have been seen, before reading a row if it is 0.
+    the lead value p > 0 and the other entries.  A copy of each row is
+    reduced in place while a pivot owns its lead f: with g = gcd(p, f), the
+    lead is popped, the rest scaled by p/g (unless 1; never -1) and (f/g)
+    times the pivot's tail subtracted.  A nonzero row whose lead has no pivot
+    is divided by the gcd of its entries, signed like its lead, and becomes
+    one.  Exits once ``stop_at`` independent rows have been seen, before
+    reading a row if it is 0.
     Suited to large redundant row sets (spans of ideal generators) where
     most rows reduce to zero.
     """
@@ -134,10 +136,26 @@ def echelon_rank(rows: Iterable[Mapping[int, int]], stop_at: int | None = None) 
         if not row:
             continue
         g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
         pivots[lead] = (row.pop(lead) // g, tuple([(j, v // g) for j, v in row.items()]))
         if stop_at is not None and len(pivots) >= stop_at:
             break
     return len(pivots)
+
+
+def box_table(digits: Sequence[Sequence[int]], top: int | None = None) -> list[list[int]]:
+    """Entry w lists the values sum_j digits[j][b_j] of the points b of the
+    box prod_j {0..len(digits[j]) - 1} with |b| = w, for each w up to ``top``
+    (default: the box's top weight).  Built one coordinate at a time, so no
+    weight above ``top`` is ever visited."""
+    table = [[0]]
+    for values in digits:
+        width = len(table) + len(values) - 1
+        width = width if top is None else min(width, top + 1)
+        table = [[x + v for e, v in enumerate(values) if 0 <= w - e < len(table)
+                  for x in table[w - e]] for w in range(width)]
+    return table
 
 
 def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:

@@ -12,18 +12,19 @@ the box algebra Q[y]/(y_1^(e_1), ..., y_d^(e_d)) by the other generators,
 each rewritten in y.  A linear change of coordinates keeps the Hilbert
 series, whose q^k coefficient is that of prod_i [e_i]_q (the box monomials
 of degree k) minus the exact integer rank of the box monomial multiples of
-the other generators, each term outside the box dropped.
+the other generators, each term outside the box dropped.  The box
+monomials are listed once, degree by degree, by ``linalg.box_table`` as
+integer columns, up to the first degree that ``MONOMIAL_GUARD`` refuses.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
 from dataclasses import dataclass
 
 from .errors import GuardExceeded
 from .exact import LaurentQ
-from .linalg import echelon_rank, primitive_vector, rref_int
+from .linalg import box_table, echelon_rank, primitive_vector, rref_int
 from .matroid import RealizedMatroid
 
 MONOMIAL_GUARD = 50_000
@@ -62,23 +63,13 @@ def _spec(M: RealizedMatroid, m: int, shift: int) -> GradedIdealSpec:
     return GradedIdealSpec(M.d, gens)
 
 
-def _monomials(bounds: list[int], k: int, base: int) -> list[int]:
-    """Columns of the degree-k box monomials y^a (0 <= a_i < bounds[i]),
-    ascending.
-
-    y^a has column -(a read in base ``base`` > k, y_1 most significant):
-    ascending columns run in graded-lex order, and the column of a product
-    of monomials is the sum of their columns.
-    """
-    d = len(bounds)
-    # room[i]: the largest degree of a box monomial in y_(i+1), ..., y_d
-    room = list(accumulate(reversed(bounds), lambda r, b: r + b - 1, initial=0))[::-1]
-    prefixes = [(0, k)] if k <= room[0] else []  # (column so far, degree left)
-    for i, b in enumerate(bounds):
-        weight = base ** (d - 1 - i)
-        prefixes = [(col - e * weight, rest - e) for col, rest in prefixes
-                    for e in range(min(rest, b - 1), max(0, rest - room[i + 1]) - 1, -1)]
-    return [col for col, _ in prefixes]
+def _box(bounds: list[int], base: int, top: int) -> list[dict[int, None]]:
+    """The box monomials y^a (0 <= a_i < bounds[i]) of each degree up to
+    ``top``, ascending, as columns: y^a has column -(a read in base ``base``
+    > top, y_1 most significant), so ascending columns run in graded-lex
+    order and the column of a product of monomials is the sum of theirs."""
+    digits = [range(0, -e * base ** j, -base ** j) for j, e in enumerate(reversed(bounds))]
+    return [dict.fromkeys(sorted(cols)) for cols in box_table(digits, top)]
 
 
 def _box_coordinates(d: int, generators) -> tuple[list[int], list]:
@@ -118,9 +109,9 @@ def hilbert(spec: GradedIdealSpec) -> LaurentQ:
     coordinates of ``_box_coordinates``.
 
     Degree k has the coefficient of q^k in prod_i [e_i]_q as its box
-    monomials, held to MONOMIAL_GUARD before they are enumerated (only in
-    degrees that some row reaches); the computation stops at the first zero
-    dimension or at the box's top degree.
+    monomials, held to MONOMIAL_GUARD: the box is listed once, below the
+    first degree the guard refuses, if some row reaches it; the computation
+    stops at the first zero dimension or at the box's top degree.
     """
     if any(e == 0 for _, e in spec.generators):
         return LaurentQ.zero()
@@ -128,18 +119,18 @@ def hilbert(spec: GradedIdealSpec) -> LaurentQ:
     sizes = functools.reduce(LaurentQ.times_qint, bounds, LaurentQ.one()).terms
     # no digit of a column formed below passes the top degree: nothing carries
     base = len(sizes) + 1
-    # ordered as _monomials, with O(1) membership
-    box = functools.cache(lambda k: dict.fromkeys(_monomials(bounds, k, base)))
+    refused = next((k for k, size in sizes.items() if size > MONOMIAL_GUARD), len(sizes))
+    lowest = min((e for _, e in others), default=base)  # no rows below it
+    box = _box(bounds, base, refused - 1) if lowest < refused else []
     expanded = [(_form_power(c, e, base), e) for c, e in others]
-    lowest = min((e for _, e in expanded), default=base)  # no rows below it
     dims: dict[int, int] = {}
     for k, size in sizes.items():
         if size > MONOMIAL_GUARD:
             raise GuardExceeded(
                 f"degree {k} has {size} box monomials > MONOMIAL_GUARD={MONOMIAL_GUARD}")
-        cols = box(k) if k >= lowest else {}
+        cols = box[k] if k >= lowest else {}
         rows = ({col: co for c, co in poly.items() if (col := c + shift) in cols}
-                for poly, e in expanded if e <= k for shift in box(k - e))
+                for poly, e in expanded if e <= k for shift in box[k - e])
         dim = size - echelon_rank(rows, stop_at=size)
         if dim == 0:
             break

@@ -8,8 +8,10 @@ arithmetic, term-by-term q-evaluation of a bivariate polynomial, the
 bounding-box lattice scan and the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
 q-binomial interpolation by a q-difference table and by products,
 product-based series numerators, the product forms of the q-integer
-kernels, tuple-indexed zonotopal elimination, and the harmonic presentation
-over 2^n subset variables and over the uniform Segre box.  It also holds
+kernels, tuple-indexed zonotopal elimination, the harmonic presentation
+over 2^n subset variables and over the uniform Segre box, and the two box
+walks that ``linalg.box_table`` replaced: the per-degree lex-prefix walk of
+box monomials and the level-set walk of a circuit's box points.  It also holds
 the helpers only tests use: single-element ``delete`` and ``contract``,
 ``coloops``, ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON
 readers; and two checks only tests make:
@@ -850,6 +852,56 @@ def reference_hilbert_dims(spec):
             return tuple(dims)
         dims.append(dim)
     raise AssertionError("quotient did not vanish by the sum of the exponents")
+
+
+def reference_monomials(bounds, k, base):
+    """Columns of the degree-k box monomials y^a (0 <= a_i < bounds[i]),
+    ascending.
+
+    y^a has column -(a read in base ``base`` > k, y_1 most significant):
+    ascending columns run in graded-lex order, and the column of a product
+    of monomials is the sum of their columns.
+    """
+    d = len(bounds)
+    # room[i]: the largest degree of a box monomial in y_(i+1), ..., y_d
+    room = list(itertools.accumulate(reversed(bounds), lambda r, b: r + b - 1,
+                                     initial=0))[::-1]
+    prefixes = [(0, k)] if k <= room[0] else []  # (column so far, degree left)
+    for i, b in enumerate(bounds):
+        weight = base ** (d - 1 - i)
+        prefixes = [(col - e * weight, rest - e) for col, rest in prefixes
+                    for e in range(min(rest, b - 1), max(0, rest - room[i + 1]) - 1, -1)]
+    return [col for col, _ in prefixes]
+
+
+def _reference_chains(pool, levels, s):
+    """Each box point b with |b| = s as the place values summed over its
+    level sets S_t = {j : b_j >= t}, S_t drawn from S_(t-1) within
+    ``levels[t-1]`` and S_0 = ``pool``: with one level, one combinations walk."""
+    allowed, rest = levels[0], levels[1:]
+    pool = tuple(w for w in pool if w in allowed)
+    if not rest:
+        for S in itertools.combinations(pool, s):
+            yield sum(S)
+        return
+    for a in range(-(-s // len(levels)), min(s, len(pool)) + 1):
+        for S in itertools.combinations(pool, a):
+            head = sum(S)
+            for tail in _reference_chains(S, rest, s - a):
+                yield head + tail
+
+
+def reference_circuit_points(bounds, support, s):
+    """Mixed-radix columns of the points b of the box prod_j {0..bounds[j]}
+    with |b| = s and b_i <= bounds[i]-1 on ``support``, by the level-set walk
+    (none if s < 0)."""
+    if s < 0:
+        return []
+    place = [math.prod(b + 1 for b in bounds[:j]) for j in range(len(bounds))]
+    levels = tuple(frozenset(w for j, w in enumerate(place) if bounds[j] > t
+                             or bounds[j] == t and j not in support)
+                   for t in range(1, max(bounds) + 1))
+    return list(_reference_chains(place[::-1], levels, s))
 
 
 # -- the 2^n-variable references for the harmonic presentation ---------------

@@ -14,8 +14,10 @@ from conftest import (
     euler_mahonian,
     graphic,
     reference_box_graded_hilbert,
+    reference_circuit_points,
     reference_degree1_dim,
     reference_graded_hilbert,
+    sweep_matrices,
     unimodular_suite,
 )
 from zonoq import (
@@ -31,7 +33,7 @@ from zonoq import (
     segre_generators,
     series,
 )
-from zonoq import harmonic
+from zonoq import harmonic, zonalg
 from zonoq.exact import LaurentQ, PolyTQ
 from zonoq.linalg import echelon_rank, rank_int
 from zonoq.harmonic import (
@@ -312,6 +314,77 @@ class TestSignClasses:
         monkeypatch.setattr(harmonic, "echelon_rank", counting_rank)
         assert degree1_dim(from_matrix([[1] * 10])) == 11
         assert len(fed) <= 11
+
+
+class TestBoxPoints:
+    """Each circuit's box points, as ``rows`` reads them off its two
+    ``box_table`` halves, against the level-set walk: a row determines its
+    circuit and point, so equal row multisets are equal point multisets."""
+
+    @staticmethod
+    def check(M, label, limit=harmonic.COLUMN_GUARD):
+        R, sizes = harmonic._sign_classes(M)
+        for m in (1, 2, 3):
+            bounds = tuple(m * p for p in sizes)
+            if math.prod(b + 1 for b in bounds) > limit:
+                continue
+            place = [math.prod(b + 1 for b in bounds[:j]) for j in range(R.n)]
+            rows = segre_generators(R).rows(bounds)
+            for k in range(sum(bounds) + 2):
+                got = Counter(frozenset(row.items()) for row in rows(k))
+                want = Counter(
+                    frozenset((b + place[i], co) for i, co in zip(circ.support, circ.alpha))
+                    for circ in R.circuits
+                    for b in reference_circuit_points(bounds, circ.support, k - 1))
+                assert got == want, (label, m, k)
+
+    def test_sweep(self):
+        # boxes of at most 1024 columns: 1035 of the 1200 (matrix, m) pairs;
+        # the 165 larger ones, also under COLUMN_GUARD, add about 30 s
+        for A in sweep_matrices():
+            self.check(from_matrix(A), A, limit=1024)
+
+    def test_corpus_thickenings_k4_and_r10(self, corpus):
+        matroids = {(name, t): M.thicken(t) for name, M in corpus.items() for t in (1, 2, 3)}
+        for label, M in {**matroids, "K4": from_matrix(K4), "R10": from_matrix(R10)}.items():
+            self.check(M, label)
+
+    @pytest.mark.parametrize("name", sorted(TestSignClasses.CASES))
+    def test_classes(self, name):
+        self.check(from_matrix(TestSignClasses.CASES[name]), name)
+
+
+class TestTracedEntryPoints:
+    """The benchmark's tracer rebinds module attributes: it sees the kernel
+    only where an oracle looks ``echelon_rank`` up in its own module, and it
+    counts the generators once per ``degree1_dim`` call."""
+
+    def test_degree1_dim_builds_the_generators_once(self, corpus, monkeypatch):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return segre_generators(M)
+
+        monkeypatch.setattr(harmonic, "segre_generators", counting)
+        for name, M in {**corpus, "K4": from_matrix(K4)}.items():
+            calls.clear()
+            degree1_dim(M)
+            assert len(calls) == 1, name
+
+    @pytest.mark.parametrize("module, oracle", [
+        (zonalg, lambda M: zonalg.hilbert(zonalg.external_spec(M))),
+        (harmonic, degree1_dim)])
+    def test_oracles_call_the_module_kernel(self, module, oracle, monkeypatch):
+        calls = []
+
+        def counting(rows, stop_at=None):
+            calls.append(stop_at)
+            return echelon_rank(rows, stop_at)
+
+        monkeypatch.setattr(module, "echelon_rank", counting)
+        oracle(from_matrix(K4))
+        assert calls
 
 
 class TestGorenstein:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import (CORPUS_MATRICES, R10, graphic, reference_hilbert_dims, sweep_matrices,
-                      verify_zonotopal)
+from conftest import (CORPUS_MATRICES, R10, graphic, reference_hilbert_dims, reference_monomials,
+                      sweep_matrices, verify_zonotopal)
 from zonoq import (
     GradedIdealSpec,
     GuardExceeded,
@@ -19,7 +19,8 @@ from zonoq import (
     zonalg,
 )
 from zonoq.exact import LaurentQ
-from zonoq.zonalg import _box_coordinates, _monomials
+from zonoq.linalg import box_table
+from zonoq.zonalg import _box, _box_coordinates
 
 
 def reference_series(spec):
@@ -128,13 +129,33 @@ class TestHilbert:
                 match=r"^degree 6 has 146490 box monomials > MONOMIAL_GUARD=50000$"):
             hilbert(spec)
 
+    def test_monomial_guard_enumerates_below_the_refused_degree(self, monkeypatch):
+        # the same cubes and (x_1 + x_2)^3, which makes rows from degree 3 on:
+        # the box is listed up to degree 5 and the guard still refuses 6
+        asked = []
+
+        def recording_table(digits, top=None):
+            table = box_table(digits, top)
+            asked.append((top, len(table)))
+            return table
+
+        monkeypatch.setattr(zonalg, "box_table", recording_table)
+        spec = GradedIdealSpec(20, tuple(
+            (tuple(int(i == j) for j in range(20)), 3) for i in range(20))
+            + (((1, 1) + (0,) * 18, 3),))
+        with pytest.raises(
+                GuardExceeded,
+                match=r"^degree 6 has 146490 box monomials > MONOMIAL_GUARD=50000$"):
+            hilbert(spec)
+        assert asked == [(5, 6)]
+
     def test_no_box_without_a_non_pivot_generator(self, corpus, monkeypatch):
         # boolean3's three cocircuit forms x_i^2 are all pivots: no degree
         # has a row, so no box of monomials is enumerated
         def refuse(*args):
             raise AssertionError("box enumerated")
 
-        monkeypatch.setattr(zonalg, "_monomials", refuse)
+        monkeypatch.setattr(zonalg, "box_table", refuse)
         cube = LaurentQ({0: 1, 1: 3, 2: 3, 3: 1})  # (1 + q)^3
         assert hilbert(external_spec(corpus["boolean3"], 1)) == cube
 
@@ -150,16 +171,27 @@ class TestColumnCoding:
     """Box monomials y^a (a_i < bounds[i]) are columns -(exponents read in
     a base above the degree, in ``hilbert`` one past the box's top degree)."""
 
+    GRID = [bounds for d in range(5) for bounds in itertools.product((1, 2, 3, 7), repeat=d)]
+
     def test_columns_ascend_in_graded_lex_order(self):
-        for d in range(0, 5):
-            for bounds in itertools.product((1, 2, 3, 7), repeat=d):
-                for k, base in ((k, b) for k in range(7) for b in (k + 1, k + 4)):
-                    cols = _monomials(list(bounds), k, base)
-                    monos = [e for e in itertools.product(range(k, -1, -1), repeat=d)
-                             if sum(e) == k and all(x < b for x, b in zip(e, bounds))]
-                    assert cols == sorted(cols)
-                    assert cols == [-sum(x * base ** (d - 1 - i) for i, x in enumerate(e))
-                                    for e in monos], (bounds, k, base)
+        for bounds in self.GRID:
+            d = len(bounds)
+            for k, base in ((k, b) for k in range(7) for b in (k + 1, k + 4)):
+                cols = reference_monomials(list(bounds), k, base)
+                monos = [e for e in itertools.product(range(k, -1, -1), repeat=d)
+                         if sum(e) == k and all(x < b for x, b in zip(e, bounds))]
+                assert cols == sorted(cols)
+                assert cols == [-sum(x * base ** (d - 1 - i) for i, x in enumerate(e))
+                                for e in monos], (bounds, k, base)
+
+    def test_box_buckets_match_reference_in_every_degree(self):
+        # every top degree, with the smallest base hilbert could use and a larger one
+        for bounds in self.GRID:
+            for top in range(sum(b - 1 for b in bounds) + 1):
+                for base in (top + 1, top + 4):
+                    assert [list(cols) for cols in _box(list(bounds), base, top)] == [
+                        reference_monomials(list(bounds), k, base) for k in range(top + 1)
+                    ], (bounds, top, base)
 
     def test_dims_match_tuple_indexed_reference(self, corpus):
         checked = 0
