@@ -4,17 +4,17 @@ A matroid is always carried by a full-row-rank integer matrix (columns are
 the ground set, 0-based).  Construction checks only the guard and the rank.
 Circuits (with their exact integer dependency coefficients) and cocircuit
 vectors, which the geometry and algebra layers use as the single source of
-combinatorial truth, are enumerated on first use and then kept: the
-closed-formula path and the thickenings read cocircuits only, and circuits
-serve only the harmonic presentation.
+combinatorial truth, are enumerated on first use and then kept: facets and
+the zonotopal algebras read cocircuits, circuits serve only the harmonic
+presentation, and the closed-formula path reads neither.
 
 Both come from one integer sweep over (d-1)-subsets of columns, whose
 one-dimensional left kernels are the hyperplane normals; subsets inside a
 hyperplane already found are skipped by ANDing one bitset per column, whose
-bit h says that hyperplane h holds the column.  Run on A it gives
-the cocircuits, and unimodularity is read off them (A is unimodular iff
-every cocircuit vector lies in {0, +-1}^n); run on a kernel basis of A, which
-realizes the dual matroid, it gives the circuits.  Connected components are
+bit h says that hyperplane h holds the column.  Run on A it gives the
+cocircuits; run on a kernel basis of A, which realizes the dual matroid, it
+gives the circuits.  Unimodularity compares det(A A^T) with T_M(1, 1), the
+number of bases (Cauchy-Binet), and reads neither.  Connected components are
 read off the fundamental graph of one ``rref_int``.  The Tutte polynomial is
 a memoised deletion/contraction on that same solved form R = D * B^-1 A, row
 i the fundamental cocircuit of the basis element pivots[i].  Loops (zero
@@ -161,13 +161,18 @@ class RealizedMatroid:
     def is_unimodular(self) -> bool:
         """True iff every maximal (d x d) minor lies in {-1, 0, 1}.
 
-        Decided as: every cocircuit vector v = c^T A (c primitive) lies in
-        {0, +-1}^n.  Then for a basis B the normals C of the hyperplanes
-        spanned by B - {b_i} make C^T B a diagonal +-1 matrix, so det B = +-1;
-        conversely, if det B = +-1, the rows of B^-1 are those normals and
-        the entries of B^-1 A are maximal minors (Cramer's rule).
+        By Cauchy-Binet det(A A^T) = sum of det(A_S)^2 over d-subsets S, and
+        T_M(1, 1) counts the S with det(A_S) != 0 (the bases), so the two are
+        equal iff every nonzero maximal minor is +-1.  A A^T is positive
+        definite: its determinant is the last pivot of ``rref_int`` (1 if
+        d = 0).  Equally, every cocircuit vector lies in {0, +-1}^n (for a
+        basis B, the normals C of the hyperplanes spanned by B - {b_i} make
+        C^T B diagonal with entries of those vectors), so ``h_rep`` can name
+        one that does not.
         """
-        return all(-1 <= x <= 1 for cc in self.cocircuits for x in cc.v)
+        rows = self.realization.entries
+        R = rref_int([[sum(map(operator.mul, r, s)) for s in rows] for r in rows])[1]
+        return (R[-1][-1] if R else 1) == self.tutte().eval_int(1, 1)
 
     # -- thickening ------------------------------------------------------------
 
@@ -183,7 +188,7 @@ class RealizedMatroid:
                 f"thickening by {m} would have {m * self.n} elements"
                 f" > GROUND_GUARD={GROUND_GUARD}")
         rows = tuple(r * m for r in self.realization.entries)
-        return _from_realization(Realization(self.d, m * self.n, rows))
+        return RealizedMatroid(Realization(self.d, m * self.n, rows))  # same row space
 
     # -- Tutte polynomial --------------------------------------------------------
 

@@ -3,6 +3,7 @@ the references that the fast kernels are tested against: Fraction
 elimination, the sparse echelon that rebuilds its row on every step, the
 sign-tracking Bareiss determinant, subset-enumerated circuits, subset ranks
 and loops, the hyperplane sweep's skip rule as a list of zero sets, the
+cocircuit rule that once decided unimodularity, the
 first-row solved-form and the per-minor Tutte recursions, dict polynomial
 arithmetic, term-by-term q-evaluation of a bivariate polynomial, the
 bounding-box lattice scan and the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
@@ -209,6 +210,13 @@ def reference_sweep_eliminations(rz):
             v = [sum(a * b for a, b in zip(normals[0], col)) for col in cols]
             zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
     return calls
+
+
+def reference_cocircuit_unimodular(M):
+    """The rule ``is_unimodular`` applied before it compared det(A A^T) with
+    T_M(1, 1): every cocircuit vector of the hyperplane sweep lies in
+    {0, +-1}^n."""
+    return all(-1 <= x <= 1 for cc in M.cocircuits for x in cc.v)
 
 
 _RANK_CACHES = weakref.WeakKeyDictionary()  # matroid -> {frozenset: rank}

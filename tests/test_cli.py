@@ -177,6 +177,16 @@ class TestVerify:
         assert code == 2
         assert "unimodular" in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "gorenstein"])
+    def test_diamond_is_rejected_before_any_output(self, tmp_path, capsys, command):
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps({"matrix": DIAMOND}))
+        code = run([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "matrix is not unimodular" in captured.err
+
     def test_forced_mismatch_exits_1(self, hexagon_file, capsys, monkeypatch):
         import zonoq.cli as cli
         monkeypatch.setattr(cli, "tutte_thickened", lambda T, d, m: T)

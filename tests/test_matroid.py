@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import operator
+import os
 import random
 
 import pytest
@@ -13,10 +14,11 @@ import zonoq.matroid as matroid
 from conftest import (CORPUS_MATRICES, DIAMOND, R10, change_of_basis, cographic, coloops,
                       contract, delete, det_int, fraction_kernel, graphic,
                       product_tutte_thickened, reference_circuits,
-                      reference_components, reference_loops, reference_rank,
+                      reference_cocircuit_unimodular, reference_components,
+                      reference_loops, reference_rank,
                       reference_sweep_eliminations, reference_tutte,
                       reference_tutte_solved, sweep_matrices, wheel)
-from zonoq import GuardExceeded, from_matrix, tutte_thickened
+from zonoq import GuardExceeded, NotUnimodular, from_matrix, graded_count, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
 from zonoq.linalg import nullspace_primitive, rank_int, rref_int
@@ -131,11 +133,28 @@ def rank_zero_minors():
     return out
 
 
-def reference_unimodular(A):
-    """Every maximal minor in {-1, 0, 1}."""
-    d, n = len(A), len(A[0])
-    return all(abs(det_int([[A[i][j] for j in combo] for i in range(d)])) <= 1
-               for combo in itertools.combinations(range(n), d))
+def reference_unimodular(M):
+    """Every maximal minor in {-1, 0, 1}; true when d = 0, whose one maximal
+    minor is the empty determinant 1."""
+    A = M.realization.entries
+    return all(abs(det_int([[A[i][j] for j in combo] for i in range(M.d)])) <= 1
+               for combo in itertools.combinations(range(M.n), M.d))
+
+
+def random_full_rank():
+    """500 seeded full-rank matrices, d 1-4, n d..7, entries in -2..3: each
+    draws from a range lo..hi with lo in {-2, -1} and hi in {1, 2, 3}, so
+    that about a fifth are unimodular."""
+    rng = random.Random(24)
+    mats = []
+    while len(mats) < 500:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        lo, hi = rng.choice((-2, -1)), rng.choice((1, 1, 2, 3))
+        A = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(d)]
+        if rank_int(A) == d:
+            mats.append(A)
+    return mats
 
 
 class TestConstruction:
@@ -189,7 +208,8 @@ class TestConstruction:
             raise RuntimeError("circuits enumerated")
 
         # construction, unimodularity, Tutte, thickening, connectivity and
-        # the Gorenstein classification read no circuit
+        # the Gorenstein classification read no circuit (and unimodularity
+        # no cocircuit either: see the test below)
         monkeypatch.setattr(matroid, "_find_circuits", no_circuits)
         M = from_matrix([[1, 0, 1], [0, 1, 1]])
         assert M.is_unimodular()
@@ -200,6 +220,25 @@ class TestConstruction:
         assert gorenstein_classify(M).verdict == "circuit-components"
         with pytest.raises(RuntimeError, match="circuits enumerated"):
             M.circuits
+
+    def test_closed_formula_path_reads_no_cocircuit(self, monkeypatch):
+        import zonoq
+
+        def no_cocircuits(rz):
+            raise RuntimeError("cocircuits enumerated")
+
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+        import workloads
+        monkeypatch.setattr(matroid, "_find_cocircuits", no_cocircuits)
+        for A in (CORPUS_MATRICES["hexagon"], K5, R10):
+            ok, _ = workloads.check_formula(zonoq, workloads.formula_item(zonoq, A))
+            assert ok, A
+        M = from_matrix(DIAMOND)
+        assert not M.is_unimodular()
+        with pytest.raises(NotUnimodular):
+            graded_count(M, 1)
+        with pytest.raises(RuntimeError, match="cocircuits enumerated"):
+            M.cocircuits
 
     def test_circuit_minimality_and_relation(self, corpus):
         for M in corpus.values():
@@ -269,9 +308,31 @@ class TestUnimodular:
             M = from_matrix(A)
             assert [(cc.v, cc.c, cc.support_size) for cc in M.cocircuits] == \
                 reference_cocircuits(A), A
-            assert M.is_unimodular() == reference_unimodular(A), A
+            assert M.is_unimodular() == reference_unimodular(M), A
             classes.add(M.is_unimodular())
         assert classes == {True, False}
+
+    def test_matches_minor_and_cocircuit_rules(self):
+        # det(A A^T) against T_M(1, 1) decides as every maximal minor in
+        # {-1, 0, 1} and as every cocircuit vector in {0, +-1}^n
+        mats = [*sweep_matrices(), *skip_matrices(), *CORPUS_MATRICES.values(), R10]
+        cases = [from_matrix(A) for A in mats] + rank_zero_minors() + [from_matrix([])]
+        cases += [from_matrix(A).thicken(m) for A in [*CORPUS_MATRICES.values(), DIAMOND]
+                  for m in range(2, 16 // len(A[0]) + 1)]
+        for M in cases:
+            assert M.is_unimodular() == reference_unimodular(M) \
+                == reference_cocircuit_unimodular(M), M.realization
+        assert {M.is_unimodular() for M in cases} == {True, False}
+        assert [M.is_unimodular() for M in cases if M.d == 0] == [True] * 8
+
+    def test_matches_rules_on_random_matrices(self):
+        verdicts = collections.Counter()
+        for A in random_full_rank():
+            M = from_matrix(A)
+            verdicts[M.is_unimodular()] += 1
+            assert M.is_unimodular() == reference_unimodular(M) \
+                == reference_cocircuit_unimodular(M), A
+        assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
     def test_cocircuit_supports_are_minimal(self, corpus):
         # brute-force row-space scan over small integer combinations
@@ -526,6 +587,18 @@ class TestThicken:
         with pytest.raises(
                 GuardExceeded,
                 match=r"^thickening by 6 would have 18 elements > GROUND_GUARD=16$"):
+            hexagon.thicken(6)
+
+    def test_reuses_the_rank(self, hexagon, monkeypatch):
+        # repeating columns keeps the row space: no rank is recomputed, and
+        # the guard is checked once, by thicken itself
+        def no_rank(rows):
+            raise RuntimeError("rank recomputed")
+
+        monkeypatch.setattr(matroid, "rank_int", no_rank)
+        for m in (1, 2, 5):
+            assert hexagon.thicken(m).tutte() == tutte_thickened(hexagon.tutte(), 2, m)
+        with pytest.raises(GuardExceeded):
             hexagon.thicken(6)
 
     def test_preserves_unimodularity(self, corpus):

@@ -1,6 +1,8 @@
 """Geometry oracle: H-description and enumerated lattice counts."""
 
+import ast
 import random
+import re
 
 import pytest
 
@@ -26,6 +28,23 @@ class TestHRep:
     def test_diamond_rejected(self):
         with pytest.raises(NotUnimodular, match=r"cocircuit vector \(0, 2\)"):
             h_rep(from_matrix(DIAMOND))
+
+    def test_non_unimodular_names_a_cocircuit(self):
+        # the verdict comes from det(A A^T) and T_M(1, 1), the witness from
+        # the cocircuits: every non-unimodular matrix must have one to name
+        rejected = 0
+        for A in sweep_matrices():
+            M = from_matrix(A)
+            if M.is_unimodular():
+                continue
+            with pytest.raises(NotUnimodular) as info:
+                h_rep(M)
+            named = re.fullmatch(r"cocircuit vector (\(.*\)) has an entry outside "
+                                 r"\{-1, 0, 1\}", str(info.value))
+            v = ast.literal_eval(named.group(1))
+            assert v in [cc.v for cc in M.cocircuits] and max(map(abs, v)) > 1, A
+            rejected += 1
+        assert rejected >= 50
 
     def test_d0_rejected(self):
         with pytest.raises(ValueError):
