@@ -1,7 +1,7 @@
 """Exact graded (q-analogue) Ehrhart theory of unimodular zonotopes."""
 
 from .errors import GuardExceeded, NotUnimodular
-from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, expand, qbinom
+from .exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries, expand
 from .gehrhart import (
     QIVP,
     GradedCount,
@@ -51,7 +51,7 @@ __all__ = [
     "ehr_tpower", "expand", "external_spec",
     "from_matrix", "gorenstein_classify", "graded_count", "graded_hilbert",
     "h_rep", "hilbert", "interior_series", "internal_spec", "lattice_count",
-    "palindrome_check", "qbinom", "qivp_bar_series",
+    "palindrome_check", "qivp_bar_series",
     "qivp_series", "reciprocity_check", "segre_generators", "series",
     "tutte_count", "tutte_thickened",
 ]

@@ -152,18 +152,6 @@ class _Dense:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative powers are not defined for {type(self).__name__}")
-        result = self.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         return NotImplemented if o is None else self.lo == o.lo and self.c == o.c
@@ -262,23 +250,6 @@ class LaurentQ(_Dense):
         return _signed_join(parts)
 
 
-def qbinom(m: int, k: int) -> LaurentQ:
-    """The Gaussian binomial coefficient binom(m, k)_q for m >= 0.
-
-    Zero whenever k < 0 or k > m; otherwise a polynomial in q with
-    non-negative coefficients, prod_{i<k} [m-i]_q / [k]_q!, built as
-    binom(m, i+1)_q = binom(m, i)_q [m-i]_q / [i+1]_q (each division exact).
-    """
-    if m < 0:
-        raise ValueError("qbinom requires m >= 0")
-    if k < 0 or k > m:
-        return LaurentQ.zero()
-    out = LaurentQ.one()
-    for i in range(k):
-        out = out.times_qint(m - i).over_qint(i + 1)
-    return out
-
-
 class PolyTQ(_Dense):
     """A polynomial in t with ``LaurentQ`` coefficients (t-exponents >= 0)."""
 
@@ -296,10 +267,6 @@ class PolyTQ(_Dense):
             if g:
                 out[k] = self._scalar(g)
         super().__init__(out)
-
-    @classmethod
-    def t_power(cls, k: int, coeff: LaurentQ | int = 1) -> "PolyTQ":
-        return cls({k: coeff})
 
     @property
     def coeffs(self) -> dict[int, LaurentQ]:

@@ -1,9 +1,9 @@
 """Exact integer linear algebra kernels.
 
 Everything here works on plain Python ints (no floats, no rationals):
-fraction-free Bareiss elimination for small dense matrices (a forward loop
-for ranks; ``rref_int``, the Gauss-Jordan form that kernels are read from)
-and a sparse streaming echelon for large row sets.
+one dense kernel for small matrices, the fraction-free Gauss-Jordan form
+``rref_int`` that ranks and kernels are read from, and a sparse streaming
+echelon for large row sets.
 
 The sparse echelon takes each row as a ``{column: value}`` dict with int
 columns; an absent column is zero.  It reduces a copy of each row in place
@@ -22,36 +22,6 @@ def _exact_div(a: int, b: int) -> int:
     if r:
         raise ArithmeticError("fraction-free elimination produced a non-exact division")
     return q
-
-
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by forward Bareiss elimination: each step
-    replaces a row below the pivot by (p * row - f * pivot_row) / prev,
-    exact by Sylvester's identity."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        for piv in range(rank, nr):
-            if m[piv][col]:
-                break
-        else:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for i in range(rank + 1, nr):
-            row = m[i]
-            f = row[col]
-            for j in range(col + 1, nc):
-                row[j] = _exact_div(p * row[j] - f * top[j], prev)
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
 
 
 def rref_int(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -169,14 +139,14 @@ def primitive_vector(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec) if g in (0, 1) else tuple([v // g for v in vec])
 
 
-def nullspace_primitive(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel of an integer matrix.
-
-    Read off ``rref_int``: free column fc gives the vector with D at fc and
-    -R[i][fc] at the i-th pivot column.  Vectors are sign-normalized (first
-    nonzero entry positive) and returned in order of their free column.
+def nullspace_primitive(pivots: Sequence[int], R: Sequence[Sequence[int]],
+                        ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel of an integer matrix with
+    ``ncols`` columns, read off its solved form ``(pivots, R) = rref_int``:
+    free column fc gives the vector with D at fc and -R[i][fc] at the i-th
+    pivot column.  Vectors are sign-normalized (first nonzero entry positive)
+    and returned in order of their free column.
     """
-    pivots, R = rref_int(rows)
     D = R[0][pivots[0]] if pivots else 1
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):

@@ -1,28 +1,32 @@
 """Realized matroids from integer matrices.
 
 A matroid is always carried by a full-row-rank integer matrix (columns are
-the ground set, 0-based).  Construction checks only the guard and the rank.
-Circuits (with their exact integer dependency coefficients) and cocircuit
-vectors, which the geometry and algebra layers use as the single source of
-combinatorial truth, are enumerated on first use and then kept: facets and
-the zonotopal algebras read cocircuits, circuits serve only the harmonic
-presentation, and the closed-formula path reads neither.
+the ground set, 0-based).  Construction checks only the guard and the rank,
+which it reads off the matroid's one solved form ``rref_int(A)``: kept with
+the other cached invariants, it is shared by the Tutte polynomial, the
+connected components and the circuits.  Circuits (with their exact integer
+dependency coefficients) and cocircuit vectors, which the geometry and
+algebra layers use as the single source of combinatorial truth, are
+enumerated on first use and then kept: facets and the zonotopal algebras
+read cocircuits, circuits serve only the harmonic presentation, and the
+closed-formula path reads neither.
 
 Both come from one integer sweep over (d-1)-subsets of columns, whose
 one-dimensional left kernels are the hyperplane normals; subsets inside a
 hyperplane already found are skipped by ANDing one bitset per column, whose
 bit h says that hyperplane h holds the column.  Run on A it gives the
-cocircuits; run on a kernel basis of A, which realizes the dual matroid, it
-gives the circuits.  Unimodularity compares det(A A^T) with T_M(1, 1), the
-number of bases (Cauchy-Binet), and reads neither.  Connected components are
-read off the fundamental graph of one ``rref_int``.  The Tutte polynomial is
-a memoised deletion/contraction on that same solved form R = D * B^-1 A, row
-i the fundamental cocircuit of the basis element pivots[i].  Loops (zero
-columns) and coloops (rows with one nonzero) factor out as powers of y and x
-before the memo is read.  The recursion branches on the pivot of the sparsest
-row: a contraction drops that row and column, a deletion swaps the row's
-sparsest column into the basis by one fraction-free pivot step.  So a
-matroid needs one ``rref_int`` however many minors the recursion visits.
+cocircuits; run on a kernel basis of A, read off the solved form, which
+realizes the dual matroid, it gives the circuits.  Unimodularity compares
+det(A A^T) with T_M(1, 1), the number of bases (Cauchy-Binet), and reads
+neither.  Connected components are read off the fundamental graph of the
+solved form.  The Tutte polynomial is a memoised deletion/contraction on
+that same solved form R = D * B^-1 A, row i the fundamental cocircuit of the
+basis element pivots[i].  Loops (zero columns) and coloops (rows with one
+nonzero) factor out as powers of y and x before the memo is read.  The
+recursion branches on the pivot of the sparsest row: a contraction drops
+that row and column, a deletion swaps the row's sparsest column into the
+basis by one fraction-free pivot step.  So a matroid needs one ``rref_int``
+of A however many minors the recursion visits.
 
 Ground sets are capped at 16 elements: the sweep is a subset enumeration,
 which is exact and fast at desk scale.
@@ -39,7 +43,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .errors import GuardExceeded
 from .exact import BiPolyXY, LaurentQ
-from .linalg import nullspace_primitive, primitive_vector, rank_int, rref_int
+from .linalg import nullspace_primitive, primitive_vector, rref_int
 
 GROUND_GUARD = 16
 
@@ -148,8 +152,14 @@ class RealizedMatroid:
         return f"RealizedMatroid(d={self.d}, n={self.n})"
 
     @functools.cached_property
+    def _solved(self) -> tuple[list[int], list[list[int]]]:
+        """``rref_int(A)``: the pivot columns, a greedy basis, and
+        R = D * B^-1 A."""
+        return rref_int(self.realization.entries)
+
+    @functools.cached_property
     def circuits(self) -> tuple[CircuitRep, ...]:
-        return _find_circuits(self.realization)
+        return _find_circuits(*self._solved, self.n)
 
     @functools.cached_property
     def cocircuits(self) -> tuple[CocircuitVector, ...]:
@@ -194,17 +204,17 @@ class RealizedMatroid:
 
     @invariant
     def tutte(self) -> BiPolyXY:
-        return _tutte_solved(*rref_int(self.realization.entries), self.n)
+        return _tutte_solved(*self._solved, self.n)
 
     # -- connectivity ---------------------------------------------------------
 
     def connected_components(self) -> tuple[Component, ...]:
         """Components of the fundamental graph of the greedy basis, read off
-        ``rref_int(A)``: a nonzero R[i][j] links the i-th pivot column to
+        the solved form: a nonzero R[i][j] links the i-th pivot column to
         column j.  Loops and coloops are singletons.  A component is flagged
         when its element set is itself a circuit, i.e. when it holds exactly
         one non-basis column (a loop counts as a size-1 circuit)."""
-        pivots, R = rref_int(self.realization.entries)
+        pivots, R = self._solved
         parent = list(range(self.n))
 
         def find(a: int) -> int:
@@ -232,9 +242,11 @@ class RealizedMatroid:
 def from_matrix(entries: Sequence[Sequence[int]]) -> RealizedMatroid:
     """Build a RealizedMatroid from a full-row-rank integer matrix.
 
-    An empty list gives the empty (0 x 0) matroid.
+    An empty list gives the empty (0 x 0) matroid.  Entries must be
+    integers: a float or other non-integral value raises ``ValueError``.
     """
-    rows = tuple(tuple(int(v) for v in r) for r in entries)
+    rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(r))
+                 for i, r in enumerate(entries))
     d = len(rows)
     n = len(rows[0]) if d else 0
     if any(len(r) != n for r in rows):
@@ -242,24 +254,34 @@ def from_matrix(entries: Sequence[Sequence[int]]) -> RealizedMatroid:
     return _from_realization(Realization(d, n, rows))
 
 
+def _integer_entry(v, i: int, j: int) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"matrix entry {v!r} at row {i}, column {j}"
+                         " is not an integer") from None
+
+
 def _from_realization(rz: Realization) -> RealizedMatroid:
     if rz.n > GROUND_GUARD:
         raise GuardExceeded(
             f"ground set {rz.n} exceeds guard GROUND_GUARD={GROUND_GUARD}")
-    if rank_int(rz.entries) != rz.d:
+    M = RealizedMatroid(rz)
+    if len(M._solved[0]) != rz.d:
         raise ValueError("matrix must have full row rank")
-    return RealizedMatroid(rz)
+    return M
 
 
-def _find_circuits(rz: Realization) -> tuple[CircuitRep, ...]:
-    """The cocircuits of the dual, realized by a kernel basis of A: each
-    cocircuit vector is a minimal dependency of A's columns, made primitive
-    (the sweep's v need not be when A is not unimodular) and restricted to
-    its support.  Sorted by (size, support), the order of a subset
-    enumeration."""
-    kernel = nullspace_primitive(rz.entries, rz.n)
+def _find_circuits(pivots: list[int], R: list[list[int]], n: int
+                   ) -> tuple[CircuitRep, ...]:
+    """The cocircuits of the dual, realized by a kernel basis of A read off
+    its solved form (pivots, R), n columns: each cocircuit vector is a
+    minimal dependency of A's columns, made primitive (the sweep's v need
+    not be when A is not unimodular) and restricted to its support.  Sorted
+    by (size, support), the order of a subset enumeration."""
+    kernel = nullspace_primitive(pivots, R, n)
     circuits = []
-    for cc in _find_cocircuits(Realization(len(kernel), rz.n, tuple(kernel))):
+    for cc in _find_cocircuits(Realization(len(kernel), n, tuple(kernel))):
         v = primitive_vector(cc.v)
         support = cc.support
         circuits.append(CircuitRep(support, tuple(v[j] for j in support)))
@@ -285,7 +307,7 @@ def _find_cocircuits(rz: Realization) -> tuple[CocircuitVector, ...]:
         if functools.reduce(operator.and_, map(holds.__getitem__, combo),
                             (1 << len(found)) - 1):
             continue
-        normals = nullspace_primitive([cols[j] for j in combo], d)
+        normals = nullspace_primitive(*rref_int([cols[j] for j in combo]), d)
         if len(normals) != 1:
             continue
         c = normals[0]

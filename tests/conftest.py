@@ -1,7 +1,8 @@
 """Shared corpus of unimodular test matrices (and one non-unimodular), and
 the references that the fast kernels are tested against: Fraction
 elimination, the sparse echelon that rebuilds its row on every step, the
-sign-tracking Bareiss determinant, subset-enumerated circuits, subset ranks
+forward Bareiss rank and the sign-tracking Bareiss determinant,
+subset-enumerated circuits, subset ranks
 and loops, the hyperplane sweep's skip rule as a list of zero sets, the
 cocircuit rule that once decided unimodularity, the
 first-row solved-form and the per-minor Tutte recursions, dict polynomial
@@ -14,8 +15,8 @@ over 2^n subset variables and over the uniform Segre box, and the two box
 walks that ``linalg.box_table`` replaced: the per-degree lex-prefix walk of
 box monomials and the level-set walk of a circuit's box points.  It also holds
 the helpers only tests use: single-element ``delete`` and ``contract``,
-``coloops``, ``bar_q``, ``is_polynomial``, ``y_degree`` and the JSON
-readers; and two checks only tests make:
+``coloops``, ``power``, ``qbinom``, ``bar_q``, ``is_polynomial``,
+``y_degree`` and the JSON readers; and two checks only tests make:
 ``verify_zonotopal`` (both zonotopal Hilbert series against their Tutte
 evaluations) and ``euler_mahonian`` (the n-cube's numerator by
 permutations)."""
@@ -34,8 +35,8 @@ import pytest
 
 from zonoq import (QIVP, GuardExceeded, external_spec, from_matrix, h_rep,
                    hilbert, internal_spec, segre_generators)
-from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, qbinom
-from zonoq.linalg import _exact_div, nullspace_primitive, primitive_vector, rank_int, rref_int
+from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
+from zonoq.linalg import _exact_div, nullspace_primitive, primitive_vector, rref_int
 from zonoq.matroid import Realization, _drop_column, _from_realization
 from zonoq.zonotope import BOX_GUARD
 
@@ -187,7 +188,7 @@ def reference_circuits(rz):
                 continue
             if rank_int([cols[j] for j in combo]) < size:
                 kern = nullspace_primitive(
-                    [[cols[j][i] for j in combo] for i in range(rz.d)], size)
+                    *rref_int([[cols[j][i] for j in combo] for i in range(rz.d)]), size)
                 assert len(kern) == 1, combo
                 circuits.append((combo, kern[0]))
     return circuits
@@ -205,7 +206,7 @@ def reference_sweep_eliminations(rz):
         if any(mask & z == mask for z in zero_sets):
             continue
         calls += 1
-        normals = nullspace_primitive([cols[j] for j in combo], rz.d)
+        normals = nullspace_primitive(*rref_int([cols[j] for j in combo]), rz.d)
         if len(normals) == 1:
             v = [sum(a * b for a, b in zip(normals[0], col)) for col in cols]
             zero_sets.append(sum(1 << j for j, x in enumerate(v) if not x))
@@ -589,6 +590,36 @@ def euler_mahonian(n: int) -> PolyTQ:
 # -- polynomial helpers only tests use ----------------------------------------
 
 
+def power(p, n):
+    """p ** n for a polynomial p and n >= 0, by repeated squaring with ``*``."""
+    if n < 0:
+        raise ValueError(f"negative powers are not defined for {type(p).__name__}")
+    result = type(p).one()
+    while n:
+        if n & 1:
+            result = result * p
+        p = p * p
+        n >>= 1
+    return result
+
+
+def qbinom(m: int, k: int) -> LaurentQ:
+    """The Gaussian binomial coefficient binom(m, k)_q for m >= 0.
+
+    Zero whenever k < 0 or k > m; otherwise a polynomial in q with
+    non-negative coefficients, prod_{i<k} [m-i]_q / [k]_q!, built as
+    binom(m, i+1)_q = binom(m, i)_q [m-i]_q / [i+1]_q (each division exact).
+    """
+    if m < 0:
+        raise ValueError("qbinom requires m >= 0")
+    if k < 0 or k > m:
+        return LaurentQ.zero()
+    out = LaurentQ.one()
+    for i in range(k):
+        out = out.times_qint(m - i).over_qint(i + 1)
+    return out
+
+
 def bar_q(p: LaurentQ) -> LaurentQ:
     """The involution q -> q^(-1) on Laurent polynomials."""
     return p.bar()
@@ -637,7 +668,7 @@ def product_eval_t(p, value):
     out = LaurentQ.zero()
     for g in reversed(p.c):
         out = out * value + g
-    return out * value ** p.lo
+    return out * power(value, p.lo)
 
 
 def product_graded_count(M, m, interior=False):
@@ -648,13 +679,13 @@ def product_graded_count(M, m, interior=False):
     qarg = LaurentQ.q_int(m - 1 if interior else m + 1)
     total = LaurentQ.zero()
     for (a, b), c in M.tutte().items():
-        total = total + (qarg ** a * qm ** (d - a) * c).shift(-m * b)
+        total = total + (power(qarg, a) * power(qm, d - a) * c).shift(-m * b)
     return total.shift((n - d) * m)
 
 
 @functools.cache
 def _qint_power(k, a):
-    return LaurentQ.q_int(k) ** a
+    return power(LaurentQ.q_int(k), a)
 
 
 def reference_x_coeffs(T, top, e):
@@ -678,7 +709,7 @@ def product_ehr_tpower(M):
     d, n = M.d, M.n
     qt1 = PolyTQ({1: LaurentQ.q_power(1), 0: LaurentQ.one()})
     w = PolyTQ({0: LaurentQ.one(), 1: LaurentQ({1: 1, 0: -1})})
-    return sum((qt1 ** a * PolyTQ.t_power(d - a, c) * w ** (n - d - b)
+    return sum((power(qt1, a) * PolyTQ({d - a: c}) * power(w, n - d - b)
                 for (a, b), c in M.tutte().items()), PolyTQ.zero())
 
 
@@ -695,7 +726,7 @@ def product_tutte_thickened(T, d, m):
     Q = 1 + y + ... + y^(m-1), from power tables and products."""
     P = BiPolyXY({(1, 0): 1, **{(0, b): 1 for b in range(1, m)}})
     Q = BiPolyXY({(0, b): 1 for b in range(m)})
-    return sum((P ** a * Q ** (d - a) * BiPolyXY.monomial(0, m * b, c)
+    return sum((power(P, a) * power(Q, d - a) * BiPolyXY.monomial(0, m * b, c)
                 for (a, b), c in T.items()), BiPolyXY.zero())
 
 
@@ -754,14 +785,14 @@ def tails(D):
 def tails_series_numerator(P):
     """sum_k t^k f_k prod_{i=k+1}^{D} (1 - t q^i), one product per term."""
     T = tails(P.degree)
-    return sum((PolyTQ.t_power(k, f) * T[k] for k, f in enumerate(P.basis_coeffs)),
+    return sum((PolyTQ({k: f}) * T[k] for k, f in enumerate(P.basis_coeffs)),
                PolyTQ.zero())
 
 
 def tails_bar_series_numerator(P):
     """sum_k t (-1)^k q^(k(k+1)/2) bar(f_k) prod_{i=k+1}^{D} (1 - t q^i)."""
     T = tails(P.degree)
-    return sum((PolyTQ.t_power(1, f.bar() * LaurentQ.q_power(k * (k + 1) // 2, (-1) ** k))
+    return sum((PolyTQ({1: f.bar() * LaurentQ.q_power(k * (k + 1) // 2, (-1) ** k)})
                 * T[k] for k, f in enumerate(P.basis_coeffs)), PolyTQ.zero())
 
 
@@ -799,6 +830,36 @@ def reference_echelon_rank(rows, stop_at=None):
         if stop_at is not None and len(pivots) >= stop_at:
             break
     return len(pivots)
+
+
+def rank_int(rows):
+    """Rank of an integer matrix by forward Bareiss elimination: each step
+    replaces a row below the pivot by (p * row - f * pivot_row) / prev,
+    exact by Sylvester's identity."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    prev = 1
+    for col in range(nc):
+        for piv in range(rank, nr):
+            if m[piv][col]:
+                break
+        else:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, nr):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, nc):
+                row[j] = _exact_div(p * row[j] - f * top[j], prev)
+        prev = p
+        rank += 1
+        if rank == nr:
+            break
+    return rank
 
 
 def det_int(rows):

@@ -19,6 +19,8 @@ from conftest import (
     laurent_from_json,
     pascal_qbinom,
     polytq_from_json,
+    power,
+    qbinom,
     reference_q_eval,
     reference_x_coeffs,
     unimodular_suite,
@@ -35,7 +37,6 @@ from zonoq.exact import (
     laurent_to_json,
     polytq_to_json,
     _times_qint,
-    qbinom,
 )
 
 
@@ -206,7 +207,7 @@ class TestExpand:
     @pytest.mark.parametrize("k", range(5))
     def test_qbinom_generating_function(self, k):
         # t^k / prod_{i=0}^{k} (1 - t q^i) has t^m coefficient binom(m, k)_q
-        out = expand(RatSeries(PolyTQ.t_power(k), k), 8)
+        out = expand(RatSeries(PolyTQ({k: 1}), k), 8)
         for m, coeff in enumerate(out):
             assert coeff == qbinom(m, k)
 
@@ -238,17 +239,17 @@ class TestRingAxioms:
 
     def test_powers(self):
         p = LaurentQ({1: 1, 0: 1})
-        assert p**0 == LaurentQ.one()
-        assert p**3 == p * p * p
+        assert power(p, 0) == LaurentQ.one()
+        assert power(p, 3) == p * p * p
 
 
 class TestRatSeries:
     def test_numerator_degree_bound(self):
         with pytest.raises(ValueError):
-            RatSeries(PolyTQ.t_power(3), 1)
+            RatSeries(PolyTQ({3: 1}), 1)
 
     def test_degree_order_plus_one_allowed(self):
-        RatSeries(PolyTQ.t_power(2), 1, interior=True)
+        RatSeries(PolyTQ({2: 1}), 1, interior=True)
 
     def test_interior_needs_zero_constant(self):
         with pytest.raises(ValueError):
@@ -441,7 +442,7 @@ class TestDenseCoreAgainstDicts:
             p = rand_map(rng, kind)
             a = build(kind, p)
             for n in range(5):
-                assert_matches(kind, a ** n, dict_pow(p, n, UNIT[kind]))
+                assert_matches(kind, power(a, n), dict_pow(p, n, UNIT[kind]))
 
     def test_transforms(self, kind, seed):
         rng = random.Random(f"tr:{kind}:{seed}")
@@ -469,7 +470,7 @@ class TestDenseCoreAgainstDicts:
 
 class TestDenseCoreEdges:
     def test_t_gap_sum_keeps_laurent_zeros(self):
-        p = PolyTQ.t_power(0) + PolyTQ.t_power(5)
+        p = PolyTQ({0: 1}) + PolyTQ({5: 1})
         assert p.to_triples() == [(0, 0, 1), (5, 0, 1)]
         assert all(isinstance(g, LaurentQ) for g in p.c)
         assert p.coeff(3) == LaurentQ.zero() and p.t_degree() == 5
@@ -511,4 +512,4 @@ class TestDenseCoreEdges:
         with pytest.raises(ValueError):
             BiPolyXY({(0, -1): 1})
         with pytest.raises(ValueError):
-            LaurentQ.one() ** -1
+            power(LaurentQ.one(), -1)

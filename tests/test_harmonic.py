@@ -13,6 +13,7 @@ from conftest import (
     contract,
     euler_mahonian,
     graphic,
+    rank_int,
     reference_box_graded_hilbert,
     reference_circuit_points,
     reference_degree1_dim,
@@ -35,7 +36,7 @@ from zonoq import (
 )
 from zonoq import harmonic, zonalg
 from zonoq.exact import LaurentQ, PolyTQ
-from zonoq.linalg import echelon_rank, rank_int
+from zonoq.linalg import echelon_rank
 from zonoq.harmonic import (
     BOOLEAN,
     CIRCUIT_COMPONENTS,

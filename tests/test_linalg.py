@@ -13,13 +13,14 @@ import sys
 import pytest
 
 import zonoq
-from conftest import (det_int, fraction_kernel, fraction_rref, graphic, reference_echelon_rank,
-                      sweep_matrices, unimodular_suite, verify_zonotopal)
+from conftest import (det_int, fraction_kernel, fraction_rref, graphic, rank_int,
+                      reference_echelon_rank, sweep_matrices, unimodular_suite,
+                      verify_zonotopal)
 from zonoq import (GuardExceeded, degree1_dim, external_spec, from_matrix, harmonic, hilbert,
                    internal_spec, linalg, zonalg)
 from zonoq.cli import ORACLE_GUARD
 from zonoq.harmonic import graded_hilbert
-from zonoq.linalg import echelon_rank, nullspace_primitive, primitive_vector, rank_int, rref_int
+from zonoq.linalg import echelon_rank, nullspace_primitive, primitive_vector, rref_int
 
 
 def as_dicts(matrix):
@@ -291,12 +292,12 @@ class TestDenseKernels:
 
     def test_nullspace_matches_fraction_kernel(self):
         for rows, ncols in kernel_cases():
-            assert nullspace_primitive(rows, ncols) == \
+            assert nullspace_primitive(*rref_int(rows), ncols) == \
                 [primitive_reference(v) for v in fraction_kernel(rows, ncols)], rows
 
     def test_kernel_vectors_are_primitive(self):
         for rows, ncols in kernel_cases():
-            for vec in nullspace_primitive(rows, ncols):
+            for vec in nullspace_primitive(*rref_int(rows), ncols):
                 assert math.gcd(*vec) == 1
                 assert next(x for x in vec if x) > 0
                 assert all(sum(a * x for a, x in zip(row, vec)) == 0
@@ -384,6 +385,11 @@ class TestDeterminant:
             assert (rank_int(m) == n) == (det != 0)
             singular += det == 0
         assert singular > 50
+
+
+def test_all_names_resolve():
+    # a name moved out of the package must not stay exported
+    assert [name for name in zonoq.__all__ if not hasattr(zonoq, name)] == []
 
 
 def test_package_imports_no_fractions():

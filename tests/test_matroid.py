@@ -2,6 +2,7 @@
 components."""
 
 import collections
+import copy
 import itertools
 import math
 import operator
@@ -10,10 +11,11 @@ import random
 
 import pytest
 
+import zonoq.linalg as linalg
 import zonoq.matroid as matroid
 from conftest import (CORPUS_MATRICES, DIAMOND, R10, change_of_basis, cographic, coloops,
                       contract, delete, det_int, fraction_kernel, graphic,
-                      product_tutte_thickened, reference_circuits,
+                      product_tutte_thickened, rank_int, reference_circuits,
                       reference_cocircuit_unimodular, reference_components,
                       reference_loops, reference_rank,
                       reference_sweep_eliminations, reference_tutte,
@@ -21,7 +23,7 @@ from conftest import (CORPUS_MATRICES, DIAMOND, R10, change_of_basis, cographic,
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, graded_count, tutte_thickened
 from zonoq.exact import BiPolyXY
 from zonoq.harmonic import gorenstein_classify
-from zonoq.linalg import nullspace_primitive, rank_int, rref_int
+from zonoq.linalg import nullspace_primitive, rref_int
 
 K4 = graphic(4, list(itertools.combinations(range(4), 2)))
 K5 = graphic(5, list(itertools.combinations(range(5), 2)))
@@ -188,6 +190,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_matrix([[1, 1], [1, 1]])
 
+    def test_non_integral_entry_rejected(self):
+        # a float is not truncated into a different matroid (1.5 -> 1 would
+        # give the hexagon), nor is an integral one taken
+        with pytest.raises(ValueError,
+                           match=r"^matrix entry 1\.5 at row 0, column 0 is not an integer$"):
+            from_matrix([[1.5, 0, 1], [0, 1, 1]])
+        with pytest.raises(ValueError,
+                           match=r"^matrix entry 1\.0 at row 1, column 2 is not an integer$"):
+            from_matrix([[1, 0, 1], [0, 1, 1.0]])
+
     def test_ground_guard(self):
         with pytest.raises(GuardExceeded,
                            match=r"^ground set 17 exceeds guard GROUND_GUARD=16$"):
@@ -204,7 +216,7 @@ class TestConstruction:
     def test_circuits_are_built_on_first_use(self, monkeypatch):
         import zonoq.matroid as matroid
 
-        def no_circuits(rz):
+        def no_circuits(pivots, R, n):
             raise RuntimeError("circuits enumerated")
 
         # construction, unimodularity, Tutte, thickening, connectivity and
@@ -378,19 +390,19 @@ class TestSweepSkip:
         # hyperplanes; either changes the count
         calls = []
 
-        def counted(rows, ncols):
+        def counted(pivots, R, ncols):
             calls.append(ncols)
-            return nullspace_primitive(rows, ncols)
+            return nullspace_primitive(pivots, R, ncols)
 
         monkeypatch.setattr(matroid, "nullspace_primitive", counted)
         rz = from_matrix(A).realization
         matroid._find_cocircuits(rz)
         expected = reference_sweep_eliminations(rz)
         assert len(calls) == expected < math.comb(rz.n, rz.d - 1)
-        kernel = nullspace_primitive(rz.entries, rz.n)
+        kernel = nullspace_primitive(*rref_int(rz.entries), rz.n)
         dual = matroid.Realization(len(kernel), rz.n, tuple(kernel))
         calls.clear()
-        matroid._find_circuits(rz)
+        matroid._find_circuits(*rref_int(rz.entries), rz.n)
         expected = 1 + reference_sweep_eliminations(dual)
         assert len(calls) == expected < 1 + math.comb(dual.n, dual.d - 1)
 
@@ -478,6 +490,27 @@ class TestTutte:
         # 31 loop- and coloop-free minors; keyed with their loops and
         # coloops, branching on the first row, the memo held 59
         assert len(matroid._TUTTE_MEMO) == 31
+
+    def test_one_elimination_of_A_per_matroid(self, monkeypatch):
+        # the rank check, tutte, the components and the circuits' kernel all
+        # read the solved form cached at construction, and none writes to it
+        seen = []
+
+        def counted(rows):
+            seen.append(rows)
+            return rref_int(rows)
+
+        monkeypatch.setattr(matroid, "rref_int", counted)
+        monkeypatch.setattr(linalg, "rref_int", counted)
+        for A in (K5, R10, [[1, 0, 1], [0, 1, 1]]):
+            seen.clear()
+            M = from_matrix(A)
+            form = copy.deepcopy(M._solved)
+            M.tutte()
+            M.circuits
+            M.connected_components()
+            assert sum(rows is M.realization.entries for rows in seen) == 1, A
+            assert M._solved == form, A
 
     @pytest.mark.parametrize("A, m, calls", [
         (K5, 1, 63), (wheel(8), 1, 85), (K4, 2, 43),
@@ -590,16 +623,25 @@ class TestThicken:
             hexagon.thicken(6)
 
     def test_reuses_the_rank(self, hexagon, monkeypatch):
-        # repeating columns keeps the row space: no rank is recomputed, and
+        # repeating columns keeps the row space: thicken checks no rank and
+        # eliminates nothing until the thickening's solved form is read, and
         # the guard is checked once, by thicken itself
-        def no_rank(rows):
-            raise RuntimeError("rank recomputed")
+        seen = []
 
-        monkeypatch.setattr(matroid, "rank_int", no_rank)
+        def counted(rows):
+            seen.append(rows)
+            return rref_int(rows)
+
+        monkeypatch.setattr(matroid, "rref_int", counted)
+        T = hexagon.tutte()
         for m in (1, 2, 5):
-            assert hexagon.thicken(m).tutte() == tutte_thickened(hexagon.tutte(), 2, m)
+            thick = hexagon.thicken(m)
+            assert seen == []
+            assert thick.tutte() == tutte_thickened(T, 2, m)
+            assert len(seen) == 1 and seen.pop() is thick.realization.entries
         with pytest.raises(GuardExceeded):
             hexagon.thicken(6)
+        assert seen == []
 
     def test_preserves_unimodularity(self, corpus):
         for M in corpus.values():
