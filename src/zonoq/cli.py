@@ -6,6 +6,13 @@ full cross-oracle verification suite, and prints a JSON report on stdout
 0 success / all checks pass, 1 verification failure, 2 input error or
 guard violation.
 
+The verify suite is one table: ``_verify_checks`` yields a (check, detail,
+run) row per check and dilate, in report order.  Each ``run`` calls one
+private check function, which returns pass or fail with a thunk that formats
+the witness (called only on failure), or raises ``GuardExceeded`` when a size
+guard or precondition refuses the input.  ``cmd_verify`` runs the rows, and
+its one rule turns a raised guard into a skipped row.
+
 Input document:
 
     {"name": "hexagon", "d": 2, "n": 3, "matrix": [[1, 0, 1], [0, 1, 1]]}
@@ -21,7 +28,7 @@ import functools
 import json
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import gehrhart, harmonic, zonalg, zonotope
 from .errors import GuardExceeded, NotUnimodular
@@ -29,6 +36,9 @@ from .exact import bipoly_to_json, expand, laurent_to_json, polytq_to_json
 from .matroid import RealizedMatroid, from_matrix, tutte_thickened
 
 ORACLE_GUARD = 12  # n*m cap for the zonotopal-algebra cross-check
+
+# a verify check's result: pass or fail, and a thunk that formats its witness
+Outcome = tuple[bool, Callable[[], str]]
 
 
 class InputError(ValueError):
@@ -137,55 +147,28 @@ def cmd_gorenstein(M: RealizedMatroid, name: str, args) -> int:
     return 0
 
 
-def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
-    if args.m_max < 1:
-        raise InputError(f"--m-max must be at least 1, got {args.m_max}")
-    if not M.is_unimodular():
-        raise InputError("matrix is not unimodular: the graded Ehrhart "
-                         "formulas do not apply")
-    m_max = args.m_max
+def _lattice_vs_tutte(M: RealizedMatroid, m: int, interior: bool) -> Outcome:
+    count = zonotope.lattice_count(M, m, interior)
+    expected = zonotope.tutte_count(M, m, interior)
+    graded_q1 = gehrhart.graded_count(M, m, interior).value.eval_at_one()
+    return count == expected == graded_q1, lambda: (
+        f"enumerated {count}, tutte {expected}, graded(q=1) {graded_q1}")
 
-    checks: list[dict] = []
-    witnesses: list[str] = []
 
-    def record(check: str, detail: str, ok: bool | None,
-               witness: Callable[[], str] = lambda: ""):
-        """One check's row; the witness is built only if the check failed."""
-        status = "skipped" if ok is None else ("pass" if ok else "fail")
-        checks.append({"check": check, "detail": detail, "status": status})
-        if ok is False:
-            witnesses.append(f"{check} [{detail}]: {witness()}")
+def _zonalg_vs_graded(M: RealizedMatroid, m: int) -> Outcome:
+    if M.n * m > ORACLE_GUARD:
+        raise GuardExceeded(f"n*m = {M.n * m} > ORACLE_GUARD={ORACLE_GUARD}")
+    if M.d < 1:
+        raise GuardExceeded("d = 0: the point zonotope has no cocircuit "
+                            "forms to eliminate")
+    ext = zonalg.hilbert(zonalg.external_spec(M, m))
+    intr = zonalg.hilbert(zonalg.internal_spec(M, m))
+    ok = (ext == gehrhart.graded_count(M, m, False).value
+          and intr == gehrhart.graded_count(M, m, True).value)
+    return ok, lambda: f"external {ext!r}, internal {intr!r}"
 
-    for m in range(1, m_max + 1):
-        for interior in (False, True):
-            tag = f"m={m}{' interior' if interior else ''}"
-            try:
-                count = zonotope.lattice_count(M, m, interior)
-            except GuardExceeded:
-                record("lattice-vs-tutte", tag, None)
-                continue
-            expected = zonotope.tutte_count(M, m, interior)
-            graded_q1 = gehrhart.graded_count(M, m, interior).value.eval_at_one()
-            ok = count == expected == graded_q1
-            record("lattice-vs-tutte", tag, ok, lambda: f"enumerated {count}, "
-                   f"tutte {expected}, graded(q=1) {graded_q1}")
 
-    for m in range(1, m_max + 1):
-        tag = f"m={m}"
-        if M.n * m > ORACLE_GUARD or M.d < 1:
-            record("zonalg-vs-graded", tag, None)
-            continue
-        try:
-            ext = zonalg.hilbert(zonalg.external_spec(M, m))
-            intr = zonalg.hilbert(zonalg.internal_spec(M, m))
-        except GuardExceeded:
-            record("zonalg-vs-graded", tag, None)
-            continue
-        ok = (ext == gehrhart.graded_count(M, m, False).value
-              and intr == gehrhart.graded_count(M, m, True).value)
-        record("zonalg-vs-graded", tag, ok,
-               lambda: f"external {ext!r}, internal {intr!r}")
-
+def _series_vs_counts(M: RealizedMatroid, m_max: int) -> Outcome:
     coeff = expand(gehrhart.series(M), m_max)
     coeff_int = expand(gehrhart.interior_series(M), m_max)
     ok = all(coeff[m] == gehrhart.graded_count(M, m, False).value
@@ -193,31 +176,64 @@ def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
     ok = ok and all(coeff_int[m] == gehrhart.graded_count(M, m, True).value
                     for m in range(1, m_max + 1))
     ok = ok and not coeff_int[0]
-    record("series-vs-counts", f"orders 0..{m_max}", ok,
-           lambda: f"series {coeff!r} interior {coeff_int!r}")
+    return ok, lambda: f"series {coeff!r} interior {coeff_int!r}"
 
-    record("reciprocity", f"m_max={m_max}", gehrhart.reciprocity_check(M, m_max),
-           lambda: "numerator or value identity failed")
 
-    try:
-        dim = harmonic.degree1_dim(M)
-    except GuardExceeded:
-        record("degree1-dim", "", None)
-    else:
-        t21 = M.tutte().eval_int(2, 1)
-        record("degree1-dim", "", dim == t21, lambda: f"dim {dim} != T(2,1) {t21}")
+def _reciprocity(M: RealizedMatroid, m_max: int) -> Outcome:
+    return (gehrhart.reciprocity_check(M, m_max),
+            lambda: "numerator or value identity failed")
 
+
+def _degree1_dim(M: RealizedMatroid) -> Outcome:
+    dim = harmonic.degree1_dim(M)
+    t21 = M.tutte().eval_int(2, 1)
+    return dim == t21, lambda: f"dim {dim} != T(2,1) {t21}"
+
+
+def _thickening(M: RealizedMatroid, m: int) -> Outcome:
+    lhs = M.thicken(m).tutte()
+    rhs = tutte_thickened(M.tutte(), M.d, m)
+    return lhs == rhs, lambda: f"{lhs!r} != {rhs!r}"
+
+
+def _verify_checks(M: RealizedMatroid, m_max: int
+                   ) -> Iterator[tuple[str, str, Callable[[], Outcome]]]:
+    """The verify suite as (check, detail, run) rows, in report order."""
     for m in range(1, m_max + 1):
+        for interior in (False, True):
+            yield ("lattice-vs-tutte", f"m={m}{' interior' if interior else ''}",
+                   functools.partial(_lattice_vs_tutte, M, m, interior))
+    for m in range(1, m_max + 1):
+        yield "zonalg-vs-graded", f"m={m}", functools.partial(_zonalg_vs_graded, M, m)
+    yield ("series-vs-counts", f"orders 0..{m_max}",
+           functools.partial(_series_vs_counts, M, m_max))
+    yield "reciprocity", f"m_max={m_max}", functools.partial(_reciprocity, M, m_max)
+    yield "degree1-dim", "", functools.partial(_degree1_dim, M)
+    for m in range(1, m_max + 1):
+        yield "thickening", f"m={m}", functools.partial(_thickening, M, m)
+
+
+def cmd_verify(M: RealizedMatroid, name: str, args) -> int:
+    if args.m_max < 1:
+        raise InputError(f"--m-max must be at least 1, got {args.m_max}")
+    if not M.is_unimodular():
+        raise InputError("matrix is not unimodular: the graded Ehrhart "
+                         "formulas do not apply")
+    checks: list[dict] = []
+    witnesses: list[str] = []
+    for check, detail, run_check in _verify_checks(M, args.m_max):
         try:
-            lhs = M.thicken(m).tutte()
+            ok, witness = run_check()
         except GuardExceeded:
-            record("thickening", f"m={m}", None)
-            continue
-        rhs = tutte_thickened(M.tutte(), M.d, m)
-        record("thickening", f"m={m}", lhs == rhs, lambda: f"{lhs!r} != {rhs!r}")
+            status = "skipped"
+        else:
+            status = "pass" if ok else "fail"
+            if not ok:
+                witnesses.append(f"{check} [{detail}]: {witness()}")
+        checks.append({"check": check, "detail": detail, "status": status})
 
     status = "fail" if witnesses else "pass"
-    _emit({"command": "verify", "input": name, "m_max": m_max,
+    _emit({"command": "verify", "input": name, "m_max": args.m_max,
            "checks": checks, "status": status, "witnesses": witnesses})
     return 1 if witnesses else 0
 

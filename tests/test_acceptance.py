@@ -35,6 +35,7 @@ from zonoq import (
     tutte_count,
     tutte_thickened,
 )
+from zonoq.cli import ORACLE_GUARD
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
 from zonoq.harmonic import BOOLEAN, CIRCUIT_COMPONENTS, NOT_GORENSTEIN, numerator_palindrome
 
@@ -111,7 +112,7 @@ def test_criterion_3_zonotopal_oracle(corpus):
         if M.d < 1:
             continue
         for m in (1, 2, 3):
-            if M.n * m > 12:
+            if M.n * m > ORACLE_GUARD:
                 continue
             thick = M.thicken(m)
             if hilbert(external_spec(thick)) != graded_count(M, m).value:

@@ -12,8 +12,9 @@ import pytest
 from conftest import (CORPUS_MATRICES, DIAMOND, R10, graphic, laurent_from_json,
                       polytq_from_json)
 import zonoq
+from zonoq import cli
 from zonoq.cli import run
-from zonoq import graded_count, series
+from zonoq import GuardExceeded, from_matrix, graded_count, series
 from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ
 
 HEXAGON_DOC = {"name": "hexagon", "d": 2, "n": 3,
@@ -232,6 +233,20 @@ class TestVerify:
         assert doc["witnesses"] == expected
         assert {c["check"] for c in doc["checks"] if c["status"] == "fail"} == {check}
 
+    @pytest.mark.parametrize("check", list(FORCED_FAILURES))
+    def test_guard_skips_only_its_rows(self, hexagon_file, capsys, monkeypatch, check):
+        # a guard raised anywhere inside one check skips that check's rows
+        # and leaves every other row to run
+        def refuse(*args):
+            raise GuardExceeded("refused")
+
+        monkeypatch.setattr(self.FORCED_FAILURES[check][0], refuse)
+        code, doc = run_json(capsys, ["verify", hexagon_file, "--m-max", "2"])
+        assert code == 0 and doc["status"] == "pass" and doc["witnesses"] == []
+        assert any(c["check"] == check for c in doc["checks"])
+        for c in doc["checks"]:
+            assert c["status"] == ("skipped" if c["check"] == check else "pass"), c
+
     def test_passing_checks_format_no_witness(self, tmp_path, capsys, monkeypatch):
         # a witness is formatted only for a failed check, so no polynomial
         # is printed on a passing run
@@ -254,6 +269,41 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert "--m-max" in captured.err and m_max in captured.err
+
+
+class TestSkipReasons:
+    """Every verify skip is a raised GuardExceeded whose message names the
+    guard and the value that tripped it.  Fresh matroids: lattice counts are
+    cached on the matroid, so a shared one would not reach the guard."""
+
+    K6 = graphic(6, list(itertools.combinations(range(6), 2)))
+    HEXAGON = HEXAGON_DOC["matrix"]
+
+    def test_oracle_guard(self):
+        with pytest.raises(GuardExceeded, match=r"^n\*m = 15 > ORACLE_GUARD=12$"):
+            cli._zonalg_vs_graded(from_matrix(self.K6), 1)
+
+    def test_variable_guard(self):
+        with pytest.raises(GuardExceeded, match=r"^15 ground-set elements > VARIABLE_GUARD=14$"):
+            cli._degree1_dim(from_matrix(self.K6))
+
+    def test_ground_guard(self):
+        with pytest.raises(GuardExceeded, match=r"would have 18 elements > GROUND_GUARD=16$"):
+            cli._thickening(from_matrix(self.HEXAGON), 6)
+
+    def test_box_guard(self, monkeypatch):
+        monkeypatch.setattr(zonoq.zonotope, "BOX_GUARD", 1)
+        with pytest.raises(GuardExceeded, match=r"^bounding box volume 9 exceeds BOX_GUARD=1$"):
+            cli._lattice_vs_tutte(from_matrix(self.HEXAGON), 1, False)
+
+    def test_monomial_guard(self, monkeypatch):
+        monkeypatch.setattr(zonoq.zonalg, "MONOMIAL_GUARD", 1)
+        with pytest.raises(GuardExceeded, match=r"box monomials > MONOMIAL_GUARD=1$"):
+            cli._zonalg_vs_graded(from_matrix(self.HEXAGON), 1)
+
+    def test_point_zonotope(self):
+        with pytest.raises(GuardExceeded, match=r"^d = 0: the point zonotope has no cocircuit"):
+            cli._zonalg_vs_graded(from_matrix([]), 1)
 
 
 class TestInputErrors:

@@ -18,6 +18,7 @@ from zonoq import (
     lattice_count,
     zonalg,
 )
+from zonoq.cli import ORACLE_GUARD
 from zonoq.exact import LaurentQ
 from zonoq.linalg import box_table
 from zonoq.zonalg import _box, _box_coordinates
@@ -197,7 +198,7 @@ class TestColumnCoding:
         checked = 0
         for name, M in corpus.items():
             for m in (1, 2, 3):
-                if M.d < 1 or M.n * m > 12:
+                if M.d < 1 or M.n * m > ORACLE_GUARD:
                     continue
                 thick = M.thicken(m)
                 for spec in (external_spec(thick), internal_spec(thick)):
@@ -297,7 +298,7 @@ class TestOrbitHarmonicsOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_external(self, corpus, m):
         for name, M in corpus.items():
-            if M.n * m > 12 or M.d < 1:
+            if M.n * m > ORACLE_GUARD or M.d < 1:
                 continue
             got = hilbert(external_spec(M.thicken(m)))
             assert got == graded_count(M, m).value, (name, m)
@@ -305,7 +306,7 @@ class TestOrbitHarmonicsOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_internal(self, corpus, m):
         for name, M in corpus.items():
-            if M.n * m > 12 or M.d < 1:
+            if M.n * m > ORACLE_GUARD or M.d < 1:
                 continue
             got = hilbert(internal_spec(M.thicken(m)))
             assert got == graded_count(M, m, interior=True).value, (name, m)
