@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, sub
+from operator import add, index, sub
 
 
 def _signed_join(parts: list[str]) -> str:
@@ -30,6 +30,14 @@ def _signed_join(parts: list[str]) -> str:
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+def _integer(v, what: str) -> int:
+    """v by ``operator.index``; ``ValueError`` naming a non-integral v."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 def _times_qint(c, k: int) -> list[int]:
@@ -172,17 +180,18 @@ class LaurentQ(_Dense):
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        super().__init__({int(e): int(c) for e, c in items if c})
+        pairs = ((_integer(e, "exponent"), _integer(c, "coefficient")) for e, c in items)
+        super().__init__({e: c for e, c in pairs if c})
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, c: int) -> "LaurentQ":
-        return cls._make(0, (int(c),))
+        return cls._make(0, (_integer(c, "coefficient"),))
 
     @classmethod
     def q_power(cls, e: int, c: int = 1) -> "LaurentQ":
-        return cls._make(int(e), (int(c),))
+        return cls._make(_integer(e, "exponent"), (_integer(c, "coefficient"),))
 
     @classmethod
     def q_int(cls, m: int) -> "LaurentQ":
@@ -261,11 +270,11 @@ class PolyTQ(_Dense):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         out: dict[int, LaurentQ] = {}
         for k, g in items:
-            k = int(k)
+            k, g = _integer(k, "t-exponent"), self._scalar(g)
             if k < 0:
                 raise ValueError("t-exponents must be non-negative")
             if g:
-                out[k] = self._scalar(g)
+                out[k] = g
         super().__init__(out)
 
     @property
@@ -348,10 +357,11 @@ class BiPolyXY(_Dense):
         items = terms.items() if isinstance(terms, Mapping) else terms
         rows: dict[int, dict[int, int]] = {}
         for (a, b), c in items:
+            a, b, c = _integer(a, "exponent"), _integer(b, "exponent"), _integer(c, "coefficient")
             if a < 0 or b < 0:
                 raise ValueError("exponents must be non-negative")
             if c:
-                rows.setdefault(int(a), {})[b] = c
+                rows.setdefault(a, {})[b] = c
         super().__init__({a: LaurentQ(row) for a, row in rows.items()})
 
     @classmethod
@@ -378,23 +388,29 @@ class BiPolyXY(_Dense):
             out.append(LaurentQ._make(e * (g.lo if e > 0 else g.lo + len(g.c) - 1), c))
         return out
 
-    def q_eval(self, k: int, j: int, top: int, e: int) -> LaurentQ:
-        """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree: a
-        homogeneous Horner sum over the x-coefficients on coefficient lists
-        at one offset, the lowest, with ``_times_qint`` only."""
+    def q_eval(self, k, j: int, top: int, e: int):
+        """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree, or for
+        a tuple k the tuple of these values, one per entry: a homogeneous
+        Horner sum over the x-coefficients on coefficient lists at one
+        offset, the lowest, with ``_times_qint`` only.  The x-coefficients
+        times their powers of [j]_q are built once, for every k."""
         if top < self.x_degree():
             raise ValueError("top must be at least the x-degree")
         gs = self.x_coeffs(top, e)
         lo = min((g.lo for g in gs if g), default=0)
-        out: list[int] = []
-        for a in range(top, -1, -1):
-            g = [0] * (gs[a].lo - lo) + list(gs[a].c) if gs[a] else []
-            for _ in range(top - a if j != 1 else 0):  # [1]_q = 1
-                g = _times_qint(g, j)
-            out = _times_qint(out, k)
-            out += [0] * (len(g) - len(out))
-            out[:len(g)] = map(add, out, g)
-        return LaurentQ._make(lo, out)
+        rows = [[0] * (g.lo - lo) + list(g.c) if g else [] for g in gs]
+        for a in range(top if j != 1 else 0):  # [1]_q = 1
+            for _ in range(top - a):
+                rows[a] = _times_qint(rows[a], j)
+        values = []
+        for kk in (k,) if isinstance(k, int) else k:
+            out: list[int] = []
+            for row in reversed(rows):
+                out = _times_qint(out, kk)
+                out += [0] * (len(row) - len(out))
+                out[:len(row)] = map(add, out, row)
+            values.append(LaurentQ._make(lo, out))
+        return values[0] if isinstance(k, int) else tuple(values)
 
     def x_degree(self) -> int:
         return self.lo + len(self.c) - 1 if self.c else 0

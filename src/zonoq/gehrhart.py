@@ -10,12 +10,12 @@ degree bounds, so the whole module stays inside exact Laurent arithmetic.
 
 Every factor in it is a q-integer, multiplied in linear time by one list
 kernel, ``exact._times_qint`` (the running sum of c - q^k c on a coefficient
-list c, wrapped by ``LaurentQ.times_qint``; exact inverse ``over_qint``):
-graded counts, both Ehrhart forms and ``bar_eval`` are Horner sums on it or
-on shifts, with no product of two polynomials.  The two hottest sums run on
-plain integer lists and build their values once, at return: graded counts
-through ``BiPolyXY.q_eval``, on lists at one common q-offset, and the t-power
-form on one integer grid, entry k (n+1) + e holding the coefficient of t^k q^e.
+list c, wrapped by ``LaurentQ.times_qint``; exact inverse ``over_qint``).
+Every sum but the q-binomial conversion is a Horner sum on it or on shifts,
+on plain integer lists, with values built once, at return: graded counts by
+``BiPolyXY.q_eval`` (closed and interior from one call), the t-power form on
+one grid (entry k (n+1) + e holds t^k q^e), both series numerators on one
+(q-offset, list) row per power of t, and the bar values in one pass.
 
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
@@ -32,10 +32,11 @@ once per matroid and shared by every caller (see ``matroid.invariant``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import add, sub
 
 from .errors import NotUnimodular
-from .exact import LaurentQ, PolyTQ, RatSeries
+from .exact import LaurentQ, PolyTQ, RatSeries, _times_qint
 from .matroid import RealizedMatroid, invariant
 
 
@@ -73,9 +74,14 @@ def graded_count(M: RealizedMatroid, m: int, interior: bool = False) -> GradedCo
         if interior:
             raise ValueError("the interior count is undefined at m = 0")
         return GradedCount(LaurentQ.one(), 0, False)
-    d, n = M.d, M.n
-    value = M.tutte().q_eval(m - 1 if interior else m + 1, m, d, -m)
-    return GradedCount(value.shift((n - d) * m), m, interior)
+    return GradedCount(_dilate_counts(M, m)[bool(interior)], m, interior)
+
+
+@invariant
+def _dilate_counts(M: RealizedMatroid, m: int) -> tuple[LaurentQ, LaurentQ]:
+    """The closed and the interior count at m >= 1: one ``q_eval`` of T_M."""
+    values = M.tutte().q_eval((m + 1, m - 1), m, M.d, -m)
+    return tuple(v.shift((M.n - M.d) * m) for v in values)
 
 
 @invariant
@@ -127,38 +133,66 @@ def _qbinomial_coeffs(p: PolyTQ, D: int) -> tuple[LaurentQ, ...]:
     return tuple(F + [zero] * (D + 1 - len(F)))
 
 
+def _bar_terms(P: QIVP, d: int = 0) -> list[LaurentQ]:
+    """h_k = (-1)^(k+d) q^(k(k+1)/2 - d) bar(f_k).  At d = 0 these are the
+    terms of both bar sums of P; a nonzero d multiplies both by (-1)^d q^(-d)."""
+    h = [f.bar().shift(k * (k + 1) // 2 - d) for k, f in enumerate(P.basis_coeffs)]
+    return [-g if (k + d) % 2 else g for k, g in enumerate(h)]
+
+
+def _bar_values(h: list[LaurentQ], m_max: int) -> list[LaurentQ]:
+    """sum_k h_k binom(m+k-1, k)_q for m = 1..m_max, in one pass on lists at
+    one offset: the running products h_k [k+1]_q ... [k+m-1]_q gain one
+    q-integer per dilate, and each sum is divided exactly by [m-1]_q!."""
+    lo = min((g.lo for g in h if g), default=0)
+    rows = [[0] * (g.lo - lo) + list(g.c) if g else [] for g in h]
+    values = []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            rows = [_times_qint(r, k + m - 1) for k, r in enumerate(rows)]
+        value = LaurentQ._make(lo, list(map(sum, zip_longest(*rows, fillvalue=0))))
+        for i in range(2, m):
+            value = value.over_qint(i)
+        values.append(value)
+    return values
+
+
 def bar_eval(P: QIVP, m: int) -> LaurentQ:
     """Value of the bar-involuted polynomial at t = [m]_q, m >= 1.
 
-    Uses bar(qbinom(t,k)) at [m]_q = (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q
-    and binom(m+k-1, k)_q = prod_{i=1}^{m-1} [k+i]_q / [m-1]_q!, with one
-    exact division of the whole sum.
-    """
+    By bar(qbinom(t,k)) at [m]_q = (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q."""
     if m < 1:
         raise ValueError("bar_eval requires m >= 1")
-    out = LaurentQ.zero()
-    for k, f in enumerate(P.basis_coeffs):
-        g = f.bar().shift(k * (k + 1) // 2)
-        for i in range(1, m):
-            g = g.times_qint(k + i)
-        out = out - g if k % 2 else out + g
-    for i in range(2, m):
-        out = out.over_qint(i)
-    return out
+    return _bar_values(_bar_terms(P), m)[-1]
+
+
+def _add_row(a: tuple, b: tuple, k: int, op) -> tuple[int, list[int]]:
+    """op(a, q^k b), op = add or sub, on (q-offset, integer list) rows; the
+    list of a is reused in place unless b reaches below its offset."""
+    (alo, ac), blo, bc = a, b[0] + k, b[1]
+    if not ac:
+        alo = blo
+    elif blo < alo:
+        ac, alo = [0] * (alo - blo) + ac, blo
+    s = blo - alo
+    ac += [0] * (s + len(bc) - len(ac))
+    ac[s:s + len(bc)] = map(op, ac[s:s + len(bc)], bc)
+    return alo, ac
 
 
 def _over_denominator(terms: list[tuple[int, LaurentQ]]) -> PolyTQ:
     """sum_k t^(e_k) g_k prod_{i=k+1}^{D} (1 - t q^i), (e_k, g_k) = terms[k],
     D = len(terms) - 1, by Horner's rule acc <- acc (1 - t q^k) + t^(e_k) g_k:
-    a t-shift and a q-shift per step, never a product.  ``acc`` holds only
-    the live prefix: one entry more per step, and up to t^(e_k)."""
-    zero = LaurentQ.zero()
-    acc: list[LaurentQ] = []
+    shifts only.  ``acc`` holds a (q-offset, integer list) row per power of t
+    in the live prefix: one row more per step, and up to t^(e_k)."""
+    acc: list[tuple[int, list[int]]] = []
     for k, (e, g) in enumerate(terms):
-        acc = [a - b.shift(k) for a, b in zip(acc + [zero], [zero] + acc)]
-        acc += [zero] * (e + 1 - len(acc))
-        acc[e] = acc[e] + g
-    return PolyTQ(enumerate(acc))
+        acc.append((0, []))
+        for i in range(len(acc) - 1, 0, -1):  # from the top: acc[i - 1] is still old
+            acc[i] = _add_row(acc[i], acc[i - 1], k, sub)
+        acc.extend((0, []) for _ in range(e + 1 - len(acc)))
+        acc[e] = _add_row(acc[e], (g.lo, g.c), 0, add)
+    return PolyTQ._make(0, [LaurentQ._make(lo, c) for lo, c in acc])
 
 
 def qivp_series(P: QIVP) -> RatSeries:
@@ -169,12 +203,9 @@ def qivp_series(P: QIVP) -> RatSeries:
 
 def qivp_bar_series(P: QIVP) -> RatSeries:
     """Generating function sum_{m>=1} bar(P)([m]_q) t^m, of order D: the same
-    sum with t (-1)^k q^(k(k+1)/2) bar(f_k) in place of t^k f_k."""
-    terms = []
-    for k, f in enumerate(P.basis_coeffs):
-        g = f.bar().shift(k * (k + 1) // 2)
-        terms.append((1, -g if k % 2 else g))
-    return RatSeries(_over_denominator(terms), P.degree, interior=True)
+    sum with t h_k = t (-1)^k q^(k(k+1)/2) bar(f_k) in place of t^k f_k."""
+    return RatSeries(_over_denominator([(1, g) for g in _bar_terms(P)]), P.degree,
+                     interior=True)
 
 
 @invariant
@@ -191,11 +222,10 @@ def interior_series(M: RealizedMatroid) -> RatSeries:
     identity:  (-1)^(n+d) q^(n(n+1)/2 - d) t^(n+1) N(1/t, 1/q).
     """
     n, d = M.n, M.d
-    N = series(M).numerator
-    flipped = N.t_reverse_bar(n + 1)
-    sign = -1 if (n + d) % 2 else 1
-    num = flipped * LaurentQ.q_power(n * (n + 1) // 2 - d, sign)
-    return RatSeries(num, n, interior=True)
+    flipped = series(M).numerator.t_reverse_bar(n + 1)
+    e = n * (n + 1) // 2 - d
+    num = [-g.shift(e) if (n + d) % 2 else g.shift(e) for g in flipped.c]
+    return RatSeries(PolyTQ._make(flipped.lo, num), n, interior=True)
 
 
 def reciprocity_check(M: RealizedMatroid, m_max: int) -> bool:
@@ -207,15 +237,8 @@ def reciprocity_check(M: RealizedMatroid, m_max: int) -> bool:
     (b) for 1 <= m <= m_max, (-1)^d q^(-d) bar_eval matches the interior
         graded count from the Tutte formula.
     """
-    d = M.d
-    sign = -1 if d % 2 else 1
-    P = ehr_poly(M)
-    bar_num = qivp_bar_series(P).numerator
-    expected = bar_num * LaurentQ.q_power(-d, sign)
-    if interior_series(M).numerator != expected:
+    h = _bar_terms(ehr_poly(M), M.d)
+    if interior_series(M).numerator != _over_denominator([(1, g) for g in h]):
         return False
-    for m in range(1, m_max + 1):
-        lhs = bar_eval(P, m).shift(-d) * sign
-        if lhs != graded_count(M, m, interior=True).value:
-            return False
-    return True
+    return all(v == graded_count(M, m, interior=True).value
+               for m, v in enumerate(_bar_values(h, m_max), 1))

@@ -233,6 +233,22 @@ class TestVerify:
         assert doc["witnesses"] == expected
         assert {c["check"] for c in doc["checks"] if c["status"] == "fail"} == {check}
 
+    def test_wrong_interior_count_fails_reciprocity(self, hexagon_file, capsys,
+                                                    monkeypatch):
+        # a real reciprocity_check, fed an interior count off by one at m = 2
+        count = zonoq.gehrhart.graded_count
+
+        def bumped(M, m, interior=False):
+            gc = count(M, m, interior)
+            return (zonoq.gehrhart.GradedCount(gc.value + 1, m, interior)
+                    if interior and m == 2 else gc)
+
+        monkeypatch.setattr("zonoq.gehrhart.graded_count", bumped)
+        code, doc = run_json(capsys, ["verify", hexagon_file, "--m-max", "2"])
+        assert code == 1 and doc["status"] == "fail"
+        assert "reciprocity [m_max=2]: numerator or value identity failed" in doc["witnesses"]
+        assert "reciprocity" in {c["check"] for c in doc["checks"] if c["status"] == "fail"}
+
     @pytest.mark.parametrize("check", list(FORCED_FAILURES))
     def test_guard_skips_only_its_rows(self, hexagon_file, capsys, monkeypatch, check):
         # a guard raised anywhere inside one check skips that check's rows

@@ -311,6 +311,23 @@ class TestBiPolyQEval:
                             assert T.q_eval(k, j, top, e) == \
                                 reference_q_eval(T, k, j, top, e), (T, k, j, top, e)
 
+    def test_several_k_match_single_evaluations(self):
+        # one call with a tuple of k equals the reference at each k, on
+        # random polynomials, with j = 1, e = 0 and top above the x-degree
+        rng = random.Random(71)
+        ks = (0, 1, 2, 3, 5)
+        for _ in range(40):
+            T = BiPolyXY({(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-5, 5)
+                          for _ in range(rng.randint(0, 6))})
+            for top in (T.x_degree(), T.x_degree() + 2):
+                for j in (0, 1, 2, 3):
+                    for e in (-2, 0, 3):
+                        values = T.q_eval(ks, j, top, e)
+                        assert values == tuple(reference_q_eval(T, k, j, top, e)
+                                               for k in ks), (T, j, top, e)
+                        assert values[2] == T.q_eval(2, j, top, e)
+        assert BiPolyXY.one().q_eval((), 2, 0, 1) == ()
+
 
 class TestBiPoly:
     def test_eval(self):
@@ -513,3 +530,29 @@ class TestDenseCoreEdges:
             BiPolyXY({(0, -1): 1})
         with pytest.raises(ValueError):
             power(LaurentQ.one(), -1)
+
+
+class TestNonIntegralRejected:
+    """Exponents and coefficients are taken by ``operator.index``: a float,
+    even an integral one, raises instead of being truncated."""
+
+    @pytest.mark.parametrize("build, value", [
+        (lambda: LaurentQ({0: 1.5, 2.9: 3}), "1.5"),
+        (lambda: LaurentQ.const(2.7), "2.7"),
+        (lambda: LaurentQ.q_power(1.5, 2.2), "1.5"),
+        (lambda: BiPolyXY({(1.5, 0): 2}), "1.5"),
+        (lambda: PolyTQ({1.7: LaurentQ.one()}), "1.7"),
+    ], ids=["LaurentQ", "const", "q_power", "BiPolyXY", "PolyTQ"])
+    def test_raises_naming_the_value(self, build, value):
+        with pytest.raises(ValueError, match=rf"{value} is not an integer"):
+            build()
+
+    def test_zero_float_rejected_and_ints_accepted(self):
+        # a float zero coefficient is refused, not dropped as a zero term
+        with pytest.raises(ValueError, match="coefficient 0.0"):
+            LaurentQ({2: 0.0})
+        with pytest.raises(ValueError, match="coefficient 0.0"):
+            BiPolyXY({(1, 2): 0.0})
+        assert LaurentQ({True: 2}) == LaurentQ.q_power(1, 2)
+        assert PolyTQ({1: 3}) == PolyTQ({1: LaurentQ.const(3)})
+        assert BiPolyXY({(1, 2): -1}).coeff(1, 2) == -1

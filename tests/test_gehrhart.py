@@ -41,8 +41,10 @@ from zonoq import (
     series,
     tutte_count,
 )
-from zonoq.exact import LaurentQ, PolyTQ
-from zonoq.gehrhart import _over_denominator, _qbinomial_coeffs
+from zonoq import gehrhart
+from zonoq.exact import BiPolyXY, LaurentQ, PolyTQ, RatSeries
+from zonoq.gehrhart import (GradedCount, _bar_terms, _bar_values, _over_denominator,
+                            _qbinomial_coeffs)
 
 HEX_COUNT_M1 = LaurentQ({0: 1, 1: 2, 2: 3, 3: 1})
 HEX_NUMERATOR = PolyTQ({
@@ -239,6 +241,35 @@ class TestReciprocity:
             assert reciprocity_check(M, 3), name
 
 
+class TestReciprocityCanFail:
+    """Both sides of each identity read the shared bar terms h_k; a wrong
+    count or a wrong numerator on the other side must still be caught."""
+
+    def test_bumped_interior_count(self, corpus, monkeypatch):
+        count = gehrhart.graded_count
+
+        def bumped(M, m, interior=False):
+            gc = count(M, m, interior)
+            return GradedCount(gc.value + 1, m, interior) if interior and m == 2 else gc
+
+        monkeypatch.setattr(gehrhart, "graded_count", bumped)
+        for name, M in corpus.items():
+            assert reciprocity_check(M, 1), name
+            assert not reciprocity_check(M, 2), name
+
+    def test_perturbed_interior_numerator(self, corpus, monkeypatch):
+        interior = gehrhart.interior_series
+
+        def perturbed(M):
+            S = interior(M)
+            return RatSeries(S.numerator + PolyTQ({S.order + 1: LaurentQ.one()}),
+                             S.order, interior=True)
+
+        monkeypatch.setattr(gehrhart, "interior_series", perturbed)
+        for name, M in corpus.items():
+            assert not reciprocity_check(M, 0), name
+
+
 class TestQuantumReciprocityFormal:
     """Formal reciprocity for arbitrary quantum integer-valued polynomials:
     the bar generating function equals -E(1/t, 1/q), checked at the
@@ -380,6 +411,17 @@ class TestAgainstQintProductReferences:
             for m in range(1, 6):
                 assert bar_eval(P, m) == product_bar_eval(P, m), (name, m)
 
+    def test_bar_values_in_one_call(self, matroids):
+        # the values at m = 1..6 from one pass, with and without the
+        # (-1)^d q^(-d) factor that reciprocity folds into the terms
+        for name, M in matroids.items():
+            P = ehr_poly(M)
+            expected = [product_bar_eval(P, m) for m in range(1, 7)]
+            assert _bar_values(_bar_terms(P), 6) == expected, name
+            assert _bar_values(_bar_terms(P, M.d), 6) == \
+                [v.shift(-M.d) * (-1) ** M.d for v in expected], name
+            assert _bar_values(_bar_terms(P), 0) == []
+
     def test_bar_eval_random_qivps(self):
         rng = random.Random(67)
         zero_coeffs = negative_exponents = 0
@@ -416,6 +458,24 @@ class TestCachedPerMatroid:
                 inner = graded_count(M, m, interior=True)
                 assert graded_count(M, m, True) is inner
                 assert inner.interior and not closed.interior
+
+    def test_closed_and_interior_share_one_tutte_evaluation(self, monkeypatch):
+        calls = []
+        q_eval = BiPolyXY.q_eval
+
+        def counted(T, *args):
+            calls.append(args)
+            return q_eval(T, *args)
+
+        monkeypatch.setattr(BiPolyXY, "q_eval", counted)
+        M = from_matrix(CORPUS_MATRICES["hexagon"])
+        for m in (1, 3):
+            closed, inner = graded_count(M, m), graded_count(M, m, interior=True)
+            assert graded_count(M, m) is closed
+            assert graded_count(M, m, True) is inner
+            assert closed.value == product_graded_count(M, m)
+            assert inner.value == product_graded_count(M, m, True)
+        assert calls == [((2, 0), 1, 2, -1), ((4, 2), 3, 2, -3)]
 
     def test_bad_calls_raise_with_a_warm_cache(self, hexagon):
         closed = graded_count(hexagon, 1)
