@@ -48,6 +48,13 @@ def _times_qint(c, k: int) -> list[int]:
     return list(accumulate(diff))
 
 
+def _at_one_offset(ps: list[LaurentQ]) -> tuple[int, list[list[int]]]:
+    """(lo, rows): the coefficient lists of ps padded to start at lo, the
+    lowest offset among them (0 if all are zero); a zero value is []."""
+    lo = min((p.lo for p in ps if p), default=0)
+    return lo, [[0] * (p.lo - lo) + list(p.c) if p else [] for p in ps]
+
+
 class _Dense:
     """The polynomial sum_i c[i] * v^(lo + i) in one variable v.
 
@@ -396,9 +403,7 @@ class BiPolyXY(_Dense):
         times their powers of [j]_q are built once, for every k."""
         if top < self.x_degree():
             raise ValueError("top must be at least the x-degree")
-        gs = self.x_coeffs(top, e)
-        lo = min((g.lo for g in gs if g), default=0)
-        rows = [[0] * (g.lo - lo) + list(g.c) if g else [] for g in gs]
+        lo, rows = _at_one_offset(self.x_coeffs(top, e))
         for a in range(top if j != 1 else 0):  # [1]_q = 1
             for _ in range(top - a):
                 rows[a] = _times_qint(rows[a], j)

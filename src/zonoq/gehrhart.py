@@ -36,7 +36,7 @@ from itertools import zip_longest
 from operator import add, sub
 
 from .errors import NotUnimodular
-from .exact import LaurentQ, PolyTQ, RatSeries, _times_qint
+from .exact import LaurentQ, PolyTQ, RatSeries, _at_one_offset, _times_qint
 from .matroid import RealizedMatroid, invariant
 
 
@@ -144,8 +144,7 @@ def _bar_values(h: list[LaurentQ], m_max: int) -> list[LaurentQ]:
     """sum_k h_k binom(m+k-1, k)_q for m = 1..m_max, in one pass on lists at
     one offset: the running products h_k [k+1]_q ... [k+m-1]_q gain one
     q-integer per dilate, and each sum is divided exactly by [m-1]_q!."""
-    lo = min((g.lo for g in h if g), default=0)
-    rows = [[0] * (g.lo - lo) + list(g.c) if g else [] for g in h]
+    lo, rows = _at_one_offset(h)
     values = []
     for m in range(1, m_max + 1):
         if m > 1:

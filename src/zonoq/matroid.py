@@ -4,12 +4,13 @@ A matroid is always carried by a full-row-rank integer matrix (columns are
 the ground set, 0-based).  Construction checks only the guard and the rank,
 which it reads off the matroid's one solved form ``rref_int(A)``: kept with
 the other cached invariants, it is shared by the Tutte polynomial, the
-connected components and the circuits.  Circuits (with their exact integer
-dependency coefficients) and cocircuit vectors, which the geometry and
-algebra layers use as the single source of combinatorial truth, are
-enumerated on first use and then kept: facets and the zonotopal algebras
-read cocircuits, circuits serve only the harmonic presentation, and the
-closed-formula path reads neither.
+connected components, the circuits and the lattice walk of ``zonotope``,
+which checks it exactly against A before walking B^-1 A.  Circuits (with
+their exact integer dependency coefficients) and cocircuit vectors, which
+the geometry and algebra layers use as the single source of combinatorial
+truth, are enumerated on first use and then kept: facets and the zonotopal
+algebras read cocircuits, circuits serve only the harmonic presentation,
+and the closed-formula path reads neither.
 
 Both come from one integer sweep over (d-1)-subsets of columns, whose
 one-dimensional left kernels are the hyperplane normals; subsets inside a

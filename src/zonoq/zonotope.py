@@ -4,11 +4,20 @@ The H-description of Z = A * [0,1]^n comes straight from the cocircuit
 vectors: each one gives a pair of parallel facet inequalities, of width
 equal to its support size since A is unimodular.  Counting is plain enumeration
 against those inequalities, which is exact and independent of every closed
-formula it is used to check.  It walks the bounding box without its longest
-coordinate column-wise: each facet's sums over a block of trailing coordinates
-are one list (facets x block points <= BLOCK_ENTRIES), and for each prefix of
-the other coordinates the lists fold elementwise into the integer interval left
-on the last coordinate; one step inside it lie the interior points.  One walk
+formula it is used to check.
+
+The walk runs in the lattice basis of A's pivot columns B: on X = B^-1 A, read
+off the matroid's solved form and checked exactly against A once per matroid,
+so that a wrong solved form raises instead of feeding both the walk and the
+Tutte polynomial.  B is unimodular, so X has the same lattice points, and X
+is the same matrix for every presentation U A of the row space.  Its rows are
+the fundamental cocircuits, so the box is m * [-#neg, #pos] per row, and
+every facet normal, a cocircuit vector read at the pivots, lies in
+{0, +-1}^d.  The walk visits the bounding box without its longest coordinate
+column-wise: each facet's sums over a block of trailing coordinates are one
+list (facets x block points <= BLOCK_ENTRIES), and for each prefix of the
+other coordinates the lists fold elementwise into the integer interval left on
+the last coordinate; one step inside it lie the interior points.  One walk
 gives both counts, cached per (M, m).
 """
 
@@ -68,15 +77,33 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
         raise ValueError("dilate m must be >= 1")
     if M.d == 0:
         return 1
-    return _lattice_counts(M, m)[interior]
+    return _lattice_counts(M, m)[bool(interior)]
+
+
+@invariant
+def _frame(M: RealizedMatroid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """(X, normals): X = D * R = B^-1 A from the solved form (pivots, R), D
+    its pivot entry and B the pivot columns of A, checked exactly against
+    B X = A; and each cocircuit's facet normal in X's coordinates, its
+    vector v read at the pivots, in ``M.cocircuits`` order."""
+    pivots, R = M._solved
+    D = R[0][pivots[0]]
+    X = [[D * x for x in row] for row in R]
+    cols = list(zip(*X))
+    for row in M.realization.entries:
+        b = [row[p] for p in pivots]
+        if tuple(sum(map(mul, b, col)) for col in cols) != row:
+            raise ArithmeticError("the solved form fails B * (D * R) = A")
+    return X, [tuple(cc.v[p] for p in pivots) for cc in M.cocircuits]
 
 
 @invariant
 def _lattice_counts(M: RealizedMatroid, m: int) -> tuple[int, int]:
     """(closed, interior) lattice-point counts of mZ, from one walk."""
     rep = h_rep(M)
+    X, normals = _frame(M)
     ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
-              for row in M.realization.entries]
+              for row in X]
     volume = math.prod(map(len, ranges))
     if volume > BOX_GUARD:
         raise GuardExceeded(
@@ -89,18 +116,19 @@ def _lattice_counts(M: RealizedMatroid, m: int) -> tuple[int, int]:
     while split and size * len(spans[split - 1]) <= BLOCK_ENTRIES:
         split -= 1
         size *= len(spans[split])
-    # lo <= <c', x'> + a * x_last <= hi per facet pair, signed so that a >= 0,
-    # with <c', x'> = s + x: s over the outer coordinates, x over the block
-    unit, steep, flat = [], [], []
-    for f in rep.facets:
-        a, lo, hi = f.c[last], m * f.alpha_min, m * f.alpha_max
-        c = f.c[:last] + f.c[last + 1:]
+    # lo <= <c', x'> + a * x_last <= hi per facet pair, a in {0, 1} once
+    # signed, with <c', x'> = s + x: s over the outer coordinates, x over the
+    # block
+    unit, flat = [], []
+    for f, normal in zip(rep.facets, normals):
+        a, lo, hi = normal[last], m * f.alpha_min, m * f.alpha_max
+        c = normal[:last] + normal[last + 1:]
         if a < 0:
-            a, lo, hi, c = -a, -hi, -lo, tuple(-x for x in c)
+            lo, hi, c = -hi, -lo, tuple(-x for x in c)
         xs = [0]
         for ci, r in zip(c[split:], spans[split:]):
             xs = [s + ci * x for s in xs for x in r]
-        (flat if a == 0 else unit if a == 1 else steep).append((c[:split], a, lo, hi, xs))
+        (unit if a else flat).append((c[:split], lo, hi, xs))
     t_min, t_max, block = ranges[last][0], ranges[last][-1], len(xs)
     closed = interior = 0
     for prefix in product(*spans[:split]):
@@ -109,21 +137,15 @@ def _lattice_counts(M: RealizedMatroid, m: int) -> tuple[int, int]:
         # points whose slack min(v - lo, hi - v) is >= 0 (>= 1 for interior)
         lows, highs = [repeat(t_min, block)], [repeat(t_max + 1, block)]
         slacks = [repeat(1, block)]
-        for c, _, lo, hi, xs in unit:
+        for c, lo, hi, xs in unit:
             s = sum(map(mul, c, prefix))
             lows.append(map((lo - s).__sub__, xs))
             highs.append(map((hi + 1 - s).__sub__, xs))
-        for c, _, lo, hi, xs in flat:
+        for c, lo, hi, xs in flat:
             s = sum(map(mul, c, prefix))
             slacks += [map((s - lo).__add__, xs), map((hi - s).__sub__, xs)]
         lo_c, hi_c = list(map(max, zip(*lows))), list(map(min, zip(*highs)))
         lo_i, hi_i = map((1).__add__, lo_c), map((-1).__add__, hi_c)
-        for c, a, lo, hi, xs in steep:
-            v = [sum(map(mul, c, prefix)) + x for x in xs]
-            lo_c = list(map(max, lo_c, [-((y - lo) // a) for y in v]))
-            hi_c = list(map(min, hi_c, [(hi - y) // a + 1 for y in v]))
-            lo_i = list(map(max, lo_i, [(lo - y) // a + 1 for y in v]))
-            hi_i = list(map(min, hi_i, [-((y - hi) // a) for y in v]))
         slack = list(map(min, zip(*slacks)))
         closed += sum(map(max, compress(map(sub, hi_c, lo_c), map((-1).__lt__, slack)), repeat(0)))
         interior += sum(map(max, compress(map(sub, hi_i, lo_i), map((0).__lt__, slack)), repeat(0)))

@@ -1,13 +1,14 @@
 """Geometry oracle: H-description and enumerated lattice counts."""
 
 import ast
+import itertools
 import random
 import re
 
 import pytest
 
 from conftest import (CORPUS_MATRICES, DIAMOND, R10, box_scan_count, change_of_basis,
-                      graphic, reference_lattice_count, sweep_matrices)
+                      graphic, reference_lattice_count, sweep_matrices, wheel)
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, h_rep, lattice_count, tutte_count
 from zonoq import zonotope
 
@@ -71,6 +72,11 @@ class TestLatticeCount:
     def test_m0_rejected(self, hexagon):
         with pytest.raises(ValueError):
             lattice_count(hexagon, 0)
+
+    def test_truthy_interior(self, hexagon):
+        # interior is read as a truth value, as graded_count reads it
+        for m in (1, 2):
+            assert lattice_count(hexagon, m, interior=2) == lattice_count(hexagon, m, True)
 
     def test_box_guard(self, corpus):
         with pytest.raises(GuardExceeded,
@@ -196,6 +202,14 @@ class TestColumnWalk:
         assert sum(map(steep, matroids)) > 10
         for M in matroids:
             self.assert_matches_reference(M, ms=(1, 2))
+        # R10 and wheel(5), three presentations each (seeded so that each
+        # matroid has a steep one), at m = 1
+        rng = random.Random(5)
+        presented = [from_matrix(change_of_basis(A, rng)) for A in (R10, wheel(5))
+                     for _ in range(3)]
+        assert any(map(steep, presented[:3])) and any(map(steep, presented[3:]))
+        for M in presented:
+            self.assert_matches_reference(M, ms=(1,))
 
     def test_one_walk_per_dilate(self, monkeypatch):
         calls = []
@@ -217,6 +231,43 @@ class TestColumnWalk:
             with pytest.raises(GuardExceeded,
                                match=r"^bounding box volume 15813251 exceeds BOX_GUARD=10000000$"):
                 lattice_count(M, 250, interior)
+
+
+class TestSolvedFrame:
+    """The walk runs on X = B^-1 A, B the pivot (greedy basis) columns of A,
+    which every presentation U A of the same row space shares."""
+
+    def test_guard_message_is_presentation_free(self, monkeypatch):
+        monkeypatch.setattr(zonotope, "BOX_GUARD", 1)
+        rng = random.Random(3)
+        graphs = [A for A in (random_graphic(rng) for _ in range(8)) if len(A) > 1]
+        cases = [(wheel(8), 2), (R10, 1)] + [(A, 1 + k % 3) for k, A in enumerate(graphs)]
+        for A, m in cases:
+            messages = []
+            for B in (A, change_of_basis(A, rng)):
+                with pytest.raises(GuardExceeded) as info:
+                    lattice_count(from_matrix(B), m)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1], (A, m)
+        assert len(cases) > 5
+        # 7^8: each spoke's fundamental cocircuit has three elements
+        with pytest.raises(GuardExceeded,
+                           match=r"^bounding box volume 5764801 exceeds BOX_GUARD=1$"):
+            lattice_count(from_matrix(wheel(8)), 2)
+
+    def test_wrong_solved_form_raises(self):
+        # every one-entry change of R fails B * (D * R) = A, and the walk
+        # must not count on it; unimodularity and cocircuits are read first
+        for A in (CORPUS_MATRICES["hexagon"], K4):
+            pivots, R = from_matrix(A)._solved
+            for i, j in itertools.product(range(len(R)), range(len(A[0]))):
+                M = from_matrix(A)
+                assert M.is_unimodular() and M.cocircuits
+                wrong = [list(row) for row in R]
+                wrong[i][j] += 1
+                M.__dict__["_solved"] = (pivots, wrong)
+                with pytest.raises(ArithmeticError):
+                    lattice_count(M, 1)
 
 
 class TestStanleyCounts:
