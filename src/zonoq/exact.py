@@ -48,11 +48,21 @@ def _times_qint(c, k: int) -> list[int]:
     return list(accumulate(diff))
 
 
-def _at_one_offset(ps: list[LaurentQ]) -> tuple[int, list[list[int]]]:
-    """(lo, rows): the coefficient lists of ps padded to start at lo, the
-    lowest offset among them (0 if all are zero); a zero value is []."""
-    lo = min((p.lo for p in ps if p), default=0)
-    return lo, [[0] * (p.lo - lo) + list(p.c) if p else [] for p in ps]
+def _add_row(a: tuple, b: tuple, k: int, op) -> tuple[int, list[int]]:
+    """op(a, q^k b), op = add or sub, on (q-offset, integer list) rows; the
+    list of a is reused in place unless b reaches below its offset, and b is
+    never changed."""
+    (alo, ac), blo, bc = a, b[0] + k, b[1]
+    if not bc:
+        return a
+    if not ac:
+        alo = blo
+    elif blo < alo:
+        ac, alo = [0] * (alo - blo) + ac, blo
+    s = blo - alo
+    ac += [0] * (s + len(bc) - len(ac))
+    ac[s:s + len(bc)] = map(op, ac[s:s + len(bc)], bc)
+    return alo, ac
 
 
 class _Dense:
@@ -341,16 +351,12 @@ def expand(series: RatSeries, up_to: int) -> list[LaurentQ]:
     """Coefficients of t^0 ... t^up_to in the power-series expansion."""
     if up_to < 0:
         raise ValueError("up_to must be non-negative")
-    coeffs = [series.numerator.coeff(k) for k in range(up_to + 1)]
+    rows = [(g.lo, list(g.c)) for g in map(series.numerator.coeff, range(up_to + 1))]
     for i in range(series.order + 1):
-        # divide by (1 - t q^i):  out[j] = in[j] + q^i * out[j-1]
-        acc = LaurentQ.zero()
-        nxt = []
-        for c in coeffs:
-            acc = c + acc.shift(i)
-            nxt.append(acc)
-        coeffs = nxt
-    return coeffs
+        # divide by (1 - t q^i) on (q-offset, list) rows: out[j] = in[j] + q^i out[j-1]
+        for j in range(1, up_to + 1):
+            rows[j] = _add_row(rows[j], rows[j - 1], i, add)
+    return [LaurentQ._make(lo, c) for lo, c in rows]
 
 
 class BiPolyXY(_Dense):
@@ -398,22 +404,22 @@ class BiPolyXY(_Dense):
     def q_eval(self, k, j: int, top: int, e: int):
         """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree, or for
         a tuple k the tuple of these values, one per entry: a homogeneous
-        Horner sum over the x-coefficients on coefficient lists at one
-        offset, the lowest, with ``_times_qint`` only.  The x-coefficients
-        times their powers of [j]_q are built once, for every k."""
+        Horner sum over the x-coefficients on (q-offset, integer list) rows
+        by ``_times_qint`` and ``_add_row`` only.  The x-coefficients times
+        their powers of [j]_q are built once, for every k."""
         if top < self.x_degree():
             raise ValueError("top must be at least the x-degree")
-        lo, rows = _at_one_offset(self.x_coeffs(top, e))
+        rows = [(g.lo, g.c) for g in self.x_coeffs(top, e)]
         for a in range(top if j != 1 else 0):  # [1]_q = 1
+            lo, c = rows[a]
             for _ in range(top - a):
-                rows[a] = _times_qint(rows[a], j)
+                c = _times_qint(c, j)
+            rows[a] = lo, c
         values = []
         for kk in (k,) if isinstance(k, int) else k:
-            out: list[int] = []
-            for row in reversed(rows):
-                out = _times_qint(out, kk)
-                out += [0] * (len(row) - len(out))
-                out[:len(row)] = map(add, out, row)
+            lo, out = rows[-1]
+            for row in reversed(rows[:-1]):
+                lo, out = _add_row((lo, _times_qint(out, kk)), row, 0, add)
             values.append(LaurentQ._make(lo, out))
         return values[0] if isinstance(k, int) else tuple(values)
 

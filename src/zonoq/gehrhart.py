@@ -8,14 +8,15 @@ with + for all lattice points and - for interior ones.  Every rational-
 function evaluation of T_M is performed by clearing denominators against its
 degree bounds, so the whole module stays inside exact Laurent arithmetic.
 
-Every factor in it is a q-integer, multiplied in linear time by one list
-kernel, ``exact._times_qint`` (the running sum of c - q^k c on a coefficient
-list c, wrapped by ``LaurentQ.times_qint``; exact inverse ``over_qint``).
-Every sum but the q-binomial conversion is a Horner sum on it or on shifts,
-on plain integer lists, with values built once, at return: graded counts by
-``BiPolyXY.q_eval`` (closed and interior from one call), the t-power form on
-one grid (entry k (n+1) + e holds t^k q^e), both series numerators on one
-(q-offset, list) row per power of t, and the bar values in one pass.
+Every factor in it is a q-integer, multiplied in linear time by
+``exact._times_qint`` (the running sum of c - q^k c on a coefficient list c;
+``LaurentQ.times_qint`` wraps it, ``over_qint`` inverts it).  Every sum but
+the q-binomial conversion adds plain integer lists and builds its values
+once, at return: the t-power form on one grid (entry k (n+1) + e holds
+t^k q^e), the rest on (q-offset, integer list) rows, one offset per row, by
+the row kernel ``exact._add_row``: graded counts (``BiPolyXY.q_eval``, closed
+and interior from one call), both series numerators (a row per power of t),
+their expansion (``exact.expand``) and the bar values (one pass).
 
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
 stored in the q-binomial-coefficient-polynomial basis, in which evaluation,
@@ -25,18 +26,18 @@ Horner's rule, t sum_k F_k binom(x,k)_q = sum_k [k]_q (F_k + q^(k-1) F_(k-1))
 binom(x,k)_q at t = [x]_q, and both series numerators by Horner's rule over
 the denominator's factors: shifts, sums and ``times_qint`` only.
 
-Graded counts, the Ehrhart polynomial (both forms) and both series are built
-once per matroid and shared by every caller (see ``matroid.invariant``).
+The graded-count pair (closed, interior) of each dilate, the Ehrhart
+polynomial (both forms) and both series are built once per matroid and
+shared by every caller (see ``matroid.invariant``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from operator import add, sub
 
 from .errors import NotUnimodular
-from .exact import LaurentQ, PolyTQ, RatSeries, _at_one_offset, _times_qint
+from .exact import LaurentQ, PolyTQ, RatSeries, _add_row, _integer, _times_qint
 from .matroid import RealizedMatroid, invariant
 
 
@@ -63,25 +64,29 @@ class QIVP:
             raise ValueError("need exactly degree + 1 basis coefficients")
 
 
-@invariant
+_POINT_COUNT = GradedCount(LaurentQ.one(), 0, False)  # at m = 0, for every M
+
+
 def graded_count(M: RealizedMatroid, m: int, interior: bool = False) -> GradedCount:
     """q-graded count of (interior) lattice points of the dilate mZ."""
     if not M.is_unimodular():
         raise NotUnimodular("graded counts require a unimodular realization")
+    m = _integer(m, "dilate")
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
         if interior:
             raise ValueError("the interior count is undefined at m = 0")
-        return GradedCount(LaurentQ.one(), 0, False)
-    return GradedCount(_dilate_counts(M, m)[bool(interior)], m, interior)
+        return _POINT_COUNT
+    return _dilate_counts(M, m)[bool(interior)]
 
 
 @invariant
-def _dilate_counts(M: RealizedMatroid, m: int) -> tuple[LaurentQ, LaurentQ]:
+def _dilate_counts(M: RealizedMatroid, m: int) -> tuple[GradedCount, GradedCount]:
     """The closed and the interior count at m >= 1: one ``q_eval`` of T_M."""
-    values = M.tutte().q_eval((m + 1, m - 1), m, M.d, -m)
-    return tuple(v.shift((M.n - M.d) * m) for v in values)
+    closed, inner = M.tutte().q_eval((m + 1, m - 1), m, M.d, -m)
+    e = (M.n - M.d) * m
+    return GradedCount(closed.shift(e), m, False), GradedCount(inner.shift(e), m, True)
 
 
 @invariant
@@ -141,15 +146,19 @@ def _bar_terms(P: QIVP, d: int = 0) -> list[LaurentQ]:
 
 
 def _bar_values(h: list[LaurentQ], m_max: int) -> list[LaurentQ]:
-    """sum_k h_k binom(m+k-1, k)_q for m = 1..m_max, in one pass on lists at
-    one offset: the running products h_k [k+1]_q ... [k+m-1]_q gain one
-    q-integer per dilate, and each sum is divided exactly by [m-1]_q!."""
-    lo, rows = _at_one_offset(h)
+    """sum_k h_k binom(m+k-1, k)_q for m = 1..m_max, in one pass on
+    (q-offset, integer list) rows: the running products h_k [k+1]_q ...
+    [k+m-1]_q gain one q-integer per dilate, their sum is taken by
+    ``_add_row``, and each sum is divided exactly by [m-1]_q!."""
+    rows = [(g.lo, g.c) for g in h]
     values = []
     for m in range(1, m_max + 1):
         if m > 1:
-            rows = [_times_qint(r, k + m - 1) for k, r in enumerate(rows)]
-        value = LaurentQ._make(lo, list(map(sum, zip_longest(*rows, fillvalue=0))))
+            rows = [(lo, _times_qint(c, k + m - 1)) for k, (lo, c) in enumerate(rows)]
+        acc = (0, [])
+        for row in rows:
+            acc = _add_row(acc, row, 0, add)
+        value = LaurentQ._make(*acc)
         for i in range(2, m):
             value = value.over_qint(i)
         values.append(value)
@@ -163,20 +172,6 @@ def bar_eval(P: QIVP, m: int) -> LaurentQ:
     if m < 1:
         raise ValueError("bar_eval requires m >= 1")
     return _bar_values(_bar_terms(P), m)[-1]
-
-
-def _add_row(a: tuple, b: tuple, k: int, op) -> tuple[int, list[int]]:
-    """op(a, q^k b), op = add or sub, on (q-offset, integer list) rows; the
-    list of a is reused in place unless b reaches below its offset."""
-    (alo, ac), blo, bc = a, b[0] + k, b[1]
-    if not ac:
-        alo = blo
-    elif blo < alo:
-        ac, alo = [0] * (alo - blo) + ac, blo
-    s = blo - alo
-    ac += [0] * (s + len(bc) - len(ac))
-    ac[s:s + len(bc)] = map(op, ac[s:s + len(bc)], bc)
-    return alo, ac
 
 
 def _over_denominator(terms: list[tuple[int, LaurentQ]]) -> PolyTQ:

@@ -49,30 +49,23 @@ from .linalg import nullspace_primitive, primitive_vector, rref_int
 GROUND_GUARD = 16
 
 T = TypeVar("T")
-_MISSING = object()  # keys a left-out argument: no build stores it
 
 
 def invariant(build: Callable[..., T]) -> Callable[..., T]:
-    """Cache ``build(M, ...)`` on the matroid M, one entry per value of the
-    further arguments, defaults filled in: built on the first call, the same
-    object returned on every later one, so callers must not mutate it.
-    Positional and keyword calls share an entry; the parameter names and
-    defaults are read once, here."""
+    """Cache ``build(M, *args)`` on the matroid M under (qualified name,
+    *args): built on the first call, the same object on every later one, so
+    callers must not mutate it.  ``TypeError`` here if build has a default
+    or keyword-only parameter, which would give one value two keys."""
     name = build.__qualname__
-    params = build.__code__.co_varnames[1:build.__code__.co_argcount]
-    defaults = dict(zip(params[::-1], (build.__defaults__ or ())[::-1]))
+    if build.__defaults__ or build.__code__.co_kwonlyargcount:
+        raise TypeError(f"@invariant {name} has a default or keyword-only parameter")
 
     @functools.wraps(build)
-    def cached(M: "RealizedMatroid", *args, **kwargs) -> T:
-        key = name
-        if params or args or kwargs:
-            rest = params[len(args):]
-            if kwargs.keys() - rest:  # unknown or repeated: build raises
-                return build(M, *args, **kwargs)
-            key = (name, *args, *[kwargs.get(p, defaults.get(p, _MISSING)) for p in rest])
+    def cached(M: "RealizedMatroid", *args) -> T:
+        key = (name, *args)
         store = M._derived
         if key not in store:
-            store[key] = build(M, *args, **kwargs)
+            store[key] = build(M, *args)
         return store[key]
 
     return cached

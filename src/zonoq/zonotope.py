@@ -29,6 +29,7 @@ from itertools import compress, product, repeat
 from operator import mul, sub
 
 from .errors import GuardExceeded, NotUnimodular
+from .exact import _integer
 from .matroid import RealizedMatroid, invariant
 
 BOX_GUARD = 10**7
@@ -73,6 +74,7 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
     The point zonotope (d = 0) has one lattice point and one interior
     lattice point at every dilate.
     """
+    m = _integer(m, "dilate")
     if m < 1:
         raise ValueError("dilate m must be >= 1")
     if M.d == 0:
@@ -158,6 +160,7 @@ def tutte_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
     The rational argument is never formed: the x-degree bound of the Tutte
     polynomial clears m^d exactly.
     """
+    m = _integer(m, "dilate")
     if m < 1:
         raise ValueError("dilate m must be >= 1")
     num = m - 1 if interior else m + 1

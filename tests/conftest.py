@@ -6,7 +6,8 @@ subset-enumerated circuits, subset ranks
 and loops, the hyperplane sweep's skip rule as a list of zero sets, the
 cocircuit rule that once decided unimodularity, the
 first-row solved-form and the per-minor Tutte recursions, dict polynomial
-arithmetic, term-by-term q-evaluation of a bivariate polynomial, the
+arithmetic, term-by-term q-evaluation of a bivariate polynomial, series
+expansion by ``LaurentQ`` sums and shifts, the
 bounding-box lattice scan and the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
 q-binomial interpolation by a q-difference table and by products,
 product-based series numerators, the product forms of the q-integer
@@ -702,6 +703,21 @@ def reference_q_eval(T, k, j, top, e):
     over the terms c x^a y^b of T, from power tables and products."""
     return sum((_qint_power(k, a) * _qint_power(j, top - a) * LaurentQ.q_power(e * b, c)
                 for (a, b), c in T.items()), LaurentQ.zero())
+
+
+def reference_expand(series, up_to):
+    """t^0 ... t^up_to of ``series``, dividing by each (1 - t q^i) with one
+    ``LaurentQ`` sum and one ``shift`` per coefficient:
+    out[j] = in[j] + q^i out[j-1]."""
+    coeffs = [series.numerator.coeff(k) for k in range(up_to + 1)]
+    for i in range(series.order + 1):
+        acc = LaurentQ.zero()
+        nxt = []
+        for c in coeffs:
+            acc = c + acc.shift(i)
+            nxt.append(acc)
+        coeffs = nxt
+    return coeffs
 
 
 def product_ehr_tpower(M):

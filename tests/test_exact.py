@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: Laurent/t polynomials, q-binomials, expansion."""
 
 import random
+from operator import add, sub
 
 import pytest
 
@@ -21,6 +22,7 @@ from conftest import (
     polytq_from_json,
     power,
     qbinom,
+    reference_expand,
     reference_q_eval,
     reference_x_coeffs,
     unimodular_suite,
@@ -36,6 +38,7 @@ from zonoq.exact import (
     expand,
     laurent_to_json,
     polytq_to_json,
+    _add_row,
     _times_qint,
 )
 
@@ -178,7 +181,70 @@ class TestQintKernel:
             p.over_qint(0)
 
 
+class TestAddRow:
+    """The row kernel op(a, q^k b) on (q-offset, integer list) rows."""
+
+    def test_matches_laurent_sum(self):
+        rng = random.Random(89)
+        below = 0
+        for _ in range(400):
+            a, b = rand_laurent(rng, 6), rand_laurent(rng, 6)
+            k = rng.randint(-4, 4)
+            op = rng.choice((add, sub))
+            b_row = (b.lo, list(b.c))
+            lo, c = _add_row((a.lo, list(a.c)), b_row, k, op)
+            assert LaurentQ._make(lo, c) == op(a, b.shift(k)), (a, b, k)
+            assert b_row == (b.lo, list(b.c))
+            below += bool(a and b) and b.lo + k < a.lo
+        assert below > 50
+
+    def test_reuses_the_list_of_a(self):
+        row = [1, 2, 3]
+        b = [4, 5]
+        assert _add_row((0, row), (0, b), 1, add) == (0, [1, 6, 8])
+        assert row == [1, 6, 8] and b == [4, 5]
+        assert _add_row((0, row), (2, b), 1, add)[1] is row
+        assert row == [1, 6, 8, 4, 5] and b == [4, 5]
+
+    def test_b_below_the_offset_of_a(self):
+        row, b = [1, 1], [7]
+        assert _add_row((2, row), (-1, b), 1, add) == (0, [7, 0, 1, 1])
+        assert row == [1, 1] and b == [7]
+
+    def test_a_empty(self):
+        row, b = [], [2, 3]
+        assert _add_row((5, row), (-1, b), 2, add) == (1, [2, 3])
+        assert row == [2, 3] and b == [2, 3]
+        assert _add_row((0, []), (4, b), 0, sub) == (4, [-2, -3])
+        assert b == [2, 3]
+
+    def test_b_empty(self):
+        a = (3, [1, 2])
+        assert _add_row(a, (-9, []), 4, sub) is a
+        assert a == (3, [1, 2])
+        assert _add_row((0, []), (0, ()), 0, add) == (0, [])
+
+    def test_sub(self):
+        row, b = [1], [1, 1]
+        assert _add_row((0, row), (0, b), 1, sub) == (0, [1, -1, -1])
+        assert _add_row((0, [1, 1]), (0, (1, 1)), 0, sub) == (0, [0, 0])
+
+
 class TestExpand:
+    def test_matches_laurent_recurrence(self):
+        rng = random.Random(97)
+        zero_coeffs = negative = 0
+        for _ in range(150):
+            order = rng.randint(0, 6)
+            num = PolyTQ({k: rand_laurent(rng) for k in range(rng.randint(0, order + 1) + 1)
+                          if rng.random() < 0.75})
+            zero_coeffs += sum(1 for g in num.c if not g)
+            negative += any(e < 0 for _, e, _ in num.to_triples())
+            s = RatSeries(num, order)
+            for up_to in range(9):
+                assert expand(s, up_to) == reference_expand(s, up_to), (num, order, up_to)
+        assert zero_coeffs > 20 and negative > 50
+
     def test_geometric_order1(self):
         s = RatSeries(PolyTQ.one(), 1)
         assert expand(s, 2) == [LaurentQ.one(), LaurentQ.q_int(2), LaurentQ.q_int(3)]

@@ -489,6 +489,21 @@ class TestCachedPerMatroid:
         with pytest.raises(TypeError):
             hexagon.tutte(1)
 
+    def test_non_integral_dilate_rejected_cold_and_warm(self):
+        for warm in (False, True):
+            M = from_matrix(CORPUS_MATRICES["hexagon"])
+            if warm:
+                for count in (graded_count, lattice_count, tutte_count):
+                    count(M, 2)
+            for count in (graded_count, lattice_count, tutte_count):
+                for m in (2.0, 1.5):
+                    with pytest.raises(ValueError, match=rf"^dilate {m!r} is not an integer$"):
+                        count(M, m)
+        assert graded_count(M, 1, interior=1).interior is True
+        assert graded_count(M, 1, interior=1) is graded_count(M, 1, True)
+        assert graded_count(M, 1, interior=2) is graded_count(M, 1, True)
+        assert graded_count(M, 0) is graded_count(from_matrix(R10), 0)
+
     def test_reciprocity_after_cached_reads(self):
         for mat in CORPUS_MATRICES.values():
             M = from_matrix(mat)

@@ -707,3 +707,30 @@ class TestComponents:
             got = [(c.elements, c.is_circuit) for c in M.connected_components()]
             assert got == reference_components(
                 M.n, reference_circuits(M.realization)), M.realization
+
+
+class TestInvariant:
+    def test_default_or_keyword_only_parameter_rejected(self):
+        def with_default(M, m=1):
+            return m
+
+        def keyword_only(M, *, m):
+            return m
+
+        for build in (with_default, keyword_only):
+            with pytest.raises(TypeError, match="default or keyword-only"):
+                matroid.invariant(build)
+
+    def test_one_entry_per_positional_value(self):
+        calls = []
+
+        @matroid.invariant
+        def build(M, m):
+            calls.append(m)
+            return [m]
+
+        M = from_matrix([[1, 0, 1], [0, 1, 1]])
+        assert build(M, 2) is build(M, 2)
+        assert build(M, 3) == [3] and calls == [2, 3]
+        with pytest.raises(TypeError):
+            build(M, m=2)
