@@ -31,7 +31,7 @@ import sys
 from typing import Callable, Iterator, Sequence
 
 from . import gehrhart, harmonic, zonalg, zonotope
-from .errors import GuardExceeded, NotUnimodular
+from .errors import GuardExceeded
 from .exact import bipoly_to_json, expand, laurent_to_json, polytq_to_json
 from .matroid import RealizedMatroid, from_matrix, tutte_thickened
 
@@ -83,7 +83,7 @@ def load_matroid(path: str) -> tuple[RealizedMatroid, str]:
         raise InputError(f"'name' must be a string, got {doc['name']!r}")
     try:
         M = from_matrix(entries)
-    except (ValueError, GuardExceeded) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     return M, doc.get("name") or path
 
@@ -280,7 +280,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         M, name = load_matroid(args.input)
         return args.handler(M, name, args)
-    except (InputError, NotUnimodular, GuardExceeded, ValueError) as exc:
+    except ValueError as exc:  # InputError, NotUnimodular and GuardExceeded are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

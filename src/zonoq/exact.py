@@ -13,7 +13,8 @@ There is no floating point anywhere.  ``LaurentQ``, ``PolyTQ`` and
 ``BiPolyXY`` share one dense core: a lowest exponent and a tuple of
 coefficients whose first and last entries are nonzero.  Every operation
 returns that canonical form, so ``==`` is tuple equality, and values are
-never changed after construction.
+never changed after construction.  One kernel, ``_add_row``, adds every
+coefficient list here: ``+`` and ``-`` of the three, ``q_eval``, ``expand``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ def _signed_join(parts: list[str]) -> str:
     return out
 
 
-def _integer(v, what: str) -> int:
-    """v by ``operator.index``; ``ValueError`` naming a non-integral v."""
+def _integer(v, what: str, *at: int) -> int:
+    """v by ``operator.index``; ``ValueError`` naming a non-integral v (and its cell ``at``)."""
     try:
         return index(v)
     except TypeError:
-        raise ValueError(f"{what} {v!r} is not an integer") from None
+        where = " at row {}, column {}".format(*at) if at else ""
+        raise ValueError(f"{what} {v!r}{where} is not an integer") from None
 
 
 def _times_qint(c, k: int) -> list[int]:
@@ -48,19 +50,20 @@ def _times_qint(c, k: int) -> list[int]:
     return list(accumulate(diff))
 
 
-def _add_row(a: tuple, b: tuple, k: int, op) -> tuple[int, list[int]]:
-    """op(a, q^k b), op = add or sub, on (q-offset, integer list) rows; the
-    list of a is reused in place unless b reaches below its offset, and b is
-    never changed."""
+def _add_row(a: tuple, b: tuple, k: int, op, zero=0) -> tuple[int, list]:
+    """op(a, q^k b), op = add or sub, on (offset, coefficient list) rows,
+    gaps filled with ``zero`` (the ring's zero: int rows keep 0); the list
+    of a is reused in place unless b reaches below its offset, and b is
+    never changed.  The one routine here that adds coefficient lists."""
     (alo, ac), blo, bc = a, b[0] + k, b[1]
     if not bc:
         return a
     if not ac:
         alo = blo
     elif blo < alo:
-        ac, alo = [0] * (alo - blo) + ac, blo
+        ac, alo = [zero] * (alo - blo) + ac, blo
     s = blo - alo
-    ac += [0] * (s + len(bc) - len(ac))
+    ac += [zero] * (s + len(bc) - len(ac))
     ac[s:s + len(bc)] = map(op, ac[s:s + len(bc)], bc)
     return alo, ac
 
@@ -131,32 +134,27 @@ class _Dense:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _combine(self, o: "_Dense", sign: int):
-        """self + sign * o."""
+    def _combine(self, o: "_Dense", op):
+        """op(self, o), op = add or sub: ``_add_row`` on a copy of self's list."""
         if not o.c:
             return self
         if not self.c:
-            return o if sign > 0 else -o
-        lo = min(self.lo, o.lo)
-        out = [self.ring_zero] * (max(self.lo + len(self.c), o.lo + len(o.c)) - lo)
-        out[self.lo - lo:self.lo - lo + len(self.c)] = self.c
-        for j, y in enumerate(o.c, o.lo - lo):
-            out[j] = out[j] + y if sign > 0 else out[j] - y
-        return self._make(lo, out)
+            return o if op is add else -o
+        return self._make(*_add_row((self.lo, list(self.c)), (o.lo, o.c), 0, op, self.ring_zero))
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._combine(o, 1)
+        return NotImplemented if o is None else self._combine(o, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._combine(o, -1)
+        return NotImplemented if o is None else self._combine(o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o._combine(self, -1)
+        return NotImplemented if o is None else o._combine(self, sub)
 
     def __neg__(self):
         return self._make(self.lo, tuple(-x for x in self.c))
@@ -349,6 +347,7 @@ class RatSeries:
 
 def expand(series: RatSeries, up_to: int) -> list[LaurentQ]:
     """Coefficients of t^0 ... t^up_to in the power-series expansion."""
+    up_to = _integer(up_to, "up_to")
     if up_to < 0:
         raise ValueError("up_to must be non-negative")
     rows = [(g.lo, list(g.c)) for g in map(series.numerator.coeff, range(up_to + 1))]
@@ -387,41 +386,40 @@ class BiPolyXY(_Dense):
     def coeff(self, a: int, b: int) -> int:
         return super().coeff(a).coeff(b)
 
-    def x_coeffs(self, top: int, e: int) -> list[LaurentQ]:
-        """The coefficients of x^0, ..., x^top in self(x, q^e), in q: y^b
-        lands on q^(e b), every |e|-th slot of one list."""
-        out = []
+    def _x_rows(self, top: int, e: int, j: int) -> list[tuple[int, list[int]]]:
+        """The coefficients of x^0, ..., x^top in self(x, q^e), the one of x^a
+        times [j]_q^(top-a), as (q-offset, integer list) rows: y^b lands on
+        q^(e b), every |e|-th slot of one list."""
+        rows = []
         for a in range(top + 1):
             g = _Dense.coeff(self, a)
             if not g or not e:
-                out.append(LaurentQ.const(sum(g.c)))
-                continue
-            c = [0] * (abs(e) * (len(g.c) - 1) + 1)
-            c[::abs(e)] = g.c if e > 0 else g.c[::-1]
-            out.append(LaurentQ._make(e * (g.lo if e > 0 else g.lo + len(g.c) - 1), c))
-        return out
+                lo, c = 0, [sum(g.c)]
+            else:
+                c = [0] * (abs(e) * (len(g.c) - 1) + 1)
+                c[::abs(e)] = g.c if e > 0 else g.c[::-1]
+                lo = e * (g.lo if e > 0 else g.lo + len(g.c) - 1)
+            for _ in range(top - a if j != 1 else 0):  # [1]_q = 1
+                c = _times_qint(c, j)
+            rows.append((lo, c))
+        return rows
 
     def q_eval(self, k, j: int, top: int, e: int):
         """[j]_q^top self([k]_q / [j]_q, q^e) for top >= the x-degree, or for
         a tuple k the tuple of these values, one per entry: a homogeneous
-        Horner sum over the x-coefficients on (q-offset, integer list) rows
-        by ``_times_qint`` and ``_add_row`` only.  The x-coefficients times
-        their powers of [j]_q are built once, for every k."""
+        Horner sum over the rows of ``_x_rows``, built once for every k, by
+        ``_times_qint`` and ``_add_row`` only."""
+        ks = [_integer(kk, "k") for kk in (k if isinstance(k, tuple) else (k,))]
         if top < self.x_degree():
             raise ValueError("top must be at least the x-degree")
-        rows = [(g.lo, g.c) for g in self.x_coeffs(top, e)]
-        for a in range(top if j != 1 else 0):  # [1]_q = 1
-            lo, c = rows[a]
-            for _ in range(top - a):
-                c = _times_qint(c, j)
-            rows[a] = lo, c
+        rows = self._x_rows(top, e, _integer(j, "j"))
         values = []
-        for kk in (k,) if isinstance(k, int) else k:
+        for kk in ks:
             lo, out = rows[-1]
             for row in reversed(rows[:-1]):
                 lo, out = _add_row((lo, _times_qint(out, kk)), row, 0, add)
             values.append(LaurentQ._make(lo, out))
-        return values[0] if isinstance(k, int) else tuple(values)
+        return tuple(values) if isinstance(k, tuple) else values[0]
 
     def x_degree(self) -> int:
         return self.lo + len(self.c) - 1 if self.c else 0

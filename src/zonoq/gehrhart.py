@@ -10,12 +10,12 @@ degree bounds, so the whole module stays inside exact Laurent arithmetic.
 
 Every factor in it is a q-integer, multiplied in linear time by
 ``exact._times_qint`` (the running sum of c - q^k c on a coefficient list c;
-``LaurentQ.times_qint`` wraps it, ``over_qint`` inverts it).  Every sum but
-the q-binomial conversion adds plain integer lists and builds its values
-once, at return: the t-power form on one grid (entry k (n+1) + e holds
-t^k q^e), the rest on (q-offset, integer list) rows, one offset per row, by
-the row kernel ``exact._add_row``: graded counts (``BiPolyXY.q_eval``, closed
-and interior from one call), both series numerators (a row per power of t),
+``LaurentQ.times_qint`` wraps it, ``over_qint`` inverts it).  The t-power
+form is summed on one integer grid (entry k (n+1) + e holds t^k q^e), every
+other sum by the row kernel ``exact._add_row``: the ``LaurentQ`` sums of the
+q-binomial conversion and, on (q-offset, integer list) rows whose values are
+built once at return, the graded counts (``BiPolyXY.q_eval``, closed and
+interior from one call), both series numerators (a row per power of t),
 their expansion (``exact.expand``) and the bar values (one pass).
 
 The graded Ehrhart polynomial is a quantum integer-valued polynomial: it is
@@ -169,6 +169,7 @@ def bar_eval(P: QIVP, m: int) -> LaurentQ:
     """Value of the bar-involuted polynomial at t = [m]_q, m >= 1.
 
     By bar(qbinom(t,k)) at [m]_q = (-1)^k q^(k(k+1)/2) binom(m+k-1, k)_q."""
+    m = _integer(m, "dilate")
     if m < 1:
         raise ValueError("bar_eval requires m >= 1")
     return _bar_values(_bar_terms(P), m)[-1]
@@ -231,6 +232,7 @@ def reciprocity_check(M: RealizedMatroid, m_max: int) -> bool:
     (b) for 1 <= m <= m_max, (-1)^d q^(-d) bar_eval matches the interior
         graded count from the Tutte formula.
     """
+    m_max = _integer(m_max, "m_max")
     h = _bar_terms(ehr_poly(M), M.d)
     if interior_series(M).numerator != _over_denominator([(1, g) for g in h]):
         return False

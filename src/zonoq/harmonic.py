@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from . import gehrhart
 from .errors import GuardExceeded
-from .exact import LaurentQ, PolyTQ
+from .exact import LaurentQ, PolyTQ, _integer
 from .linalg import box_table, echelon_rank
 from .matroid import CircuitRep, Realization, RealizedMatroid, invariant
 
@@ -142,6 +142,7 @@ def graded_hilbert(M: RealizedMatroid, m: int) -> LaurentQ:
     """q-graded dimensions of the degree-m slice of the quotient algebra: per
     q-block k, the box points of weight k (coefficients of prod_j [m*p_j+1]_q
     over the sign classes (R, p) of M) less the rank of R's ``rows``."""
+    m = _integer(m, "degree")
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from .errors import GuardExceeded
-from .exact import BiPolyXY, LaurentQ
+from .exact import BiPolyXY, LaurentQ, _add_row, _integer, _times_qint
 from .linalg import nullspace_primitive, primitive_vector, rref_int
 
 GROUND_GUARD = 16
@@ -185,6 +185,7 @@ class RealizedMatroid:
 
         Ground set ordered copy-major: columns of copy 1, then copy 2, ...
         """
+        m = _integer(m, "multiplicity")
         if m < 1:
             raise ValueError("thickening requires m >= 1")
         if m * self.n > GROUND_GUARD:
@@ -239,21 +240,13 @@ def from_matrix(entries: Sequence[Sequence[int]]) -> RealizedMatroid:
     An empty list gives the empty (0 x 0) matroid.  Entries must be
     integers: a float or other non-integral value raises ``ValueError``.
     """
-    rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(r))
+    rows = tuple(tuple(_integer(v, "matrix entry", i, j) for j, v in enumerate(r))
                  for i, r in enumerate(entries))
     d = len(rows)
     n = len(rows[0]) if d else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
     return _from_realization(Realization(d, n, rows))
-
-
-def _integer_entry(v, i: int, j: int) -> int:
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"matrix entry {v!r} at row {i}, column {j}"
-                         " is not an integer") from None
 
 
 def _from_realization(rz: Realization) -> RealizedMatroid:
@@ -381,15 +374,18 @@ def tutte_thickened(T: BiPolyXY, d: int, m: int) -> BiPolyXY:
     """Tutte polynomial of the m-thickening, from T = T_M and the rank d.
 
     sum_a C_a P^a Q^(d-a), C_a = sum_b c_ab y^(mb), P = x + y [m-1]_y and
-    Q = [m]_y cleared against the x-degree bound d: a homogeneous Horner sum.
+    Q = [m]_y cleared against the x-degree bound d: a homogeneous Horner sum
+    over the rows C_a Q^(d-a) of ``T._x_rows``, on a (y-offset, integer list)
+    row per power of x, by ``_times_qint`` and ``_add_row`` only.
     """
+    d, m = _integer(d, "rank"), _integer(m, "multiplicity")
     if m < 1:
         raise ValueError("m must be >= 1")
     if T.x_degree() > d:
         raise ValueError("T has x-degree above the stated rank")
-    acc = [LaurentQ.zero()] * (d + 1)  # coefficients of x^0, ..., x^d
-    for a, g in reversed(list(enumerate(T.x_coeffs(d, m)))):
-        for _ in range(d - a):
-            g = g.times_qint(m)
-        acc = [u + v.times_qint(m - 1).shift(1) for u, v in zip([g] + acc[:-1], acc)]
-    return BiPolyXY._make(0, acc)
+    acc = [(0, []) for _ in range(d + 1)]  # x^0, ..., x^d, one list each
+    for row in reversed(T._x_rows(d, m, m)):  # acc <- acc P + row, in place:
+        # the list of acc[i - 1] is read as b before it is reused as a
+        acc = [_add_row(u, (lo, _times_qint(c, m - 1)), 1, operator.add)
+               for u, (lo, c) in zip([row] + acc[:-1], acc)]
+    return BiPolyXY._make(0, [LaurentQ._make(lo, c) for lo, c in acc])

@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import GuardExceeded
-from .exact import LaurentQ
+from .exact import LaurentQ, _integer
 from .linalg import box_table, echelon_rank, primitive_vector, rref_int
 from .matroid import RealizedMatroid
 
@@ -55,6 +55,7 @@ def internal_spec(M: RealizedMatroid, m: int = 1) -> GradedIdealSpec:
 
 
 def _spec(M: RealizedMatroid, m: int, shift: int) -> GradedIdealSpec:
+    m = _integer(m, "multiplicity")
     if m < 1:
         raise ValueError("ideal specs require m >= 1")
     if M.d < 1:

@@ -6,6 +6,7 @@ from operator import add, sub
 import pytest
 
 from conftest import (
+    CORPUS_MATRICES,
     bar_q,
     bipoly_from_json,
     dict_add,
@@ -28,7 +29,18 @@ from conftest import (
     unimodular_suite,
     y_degree,
 )
-from zonoq import from_matrix
+from zonoq import (
+    bar_eval,
+    ehr_poly,
+    external_spec,
+    from_matrix,
+    graded_hilbert,
+    hilbert,
+    internal_spec,
+    reciprocity_check,
+    series,
+    tutte_thickened,
+)
 from zonoq.exact import (
     BiPolyXY,
     LaurentQ,
@@ -224,6 +236,16 @@ class TestAddRow:
         assert a == (3, [1, 2])
         assert _add_row((0, []), (0, ()), 0, add) == (0, [])
 
+    def test_ring_zero_fill(self):
+        # rows over LaurentQ: every gap, front and back, holds the fill value
+        z, one, q = LaurentQ.zero(), LaurentQ.one(), LaurentQ.q_power(1)
+        row = [one]
+        assert _add_row((3, row), (0, [q]), 0, add, z) == (0, [q, z, z, one])
+        assert row == [one]
+        lo, c = _add_row((0, [one]), (1, (q, one)), 2, sub, z)
+        assert (lo, c) == (0, [one, z, z, -q, -one])
+        assert all(isinstance(g, LaurentQ) for g in c)
+
     def test_sub(self):
         row, b = [1], [1, 1]
         assert _add_row((0, row), (0, b), 1, sub) == (0, [1, -1, -1])
@@ -341,19 +363,29 @@ class TestSerialization:
         assert bipoly_from_json(bipoly_to_json(T)) == T
 
 
+def x_rows(T, top, e, j):
+    """``T._x_rows`` as ``LaurentQ`` values."""
+    return [LaurentQ._make(lo, c) for lo, c in T._x_rows(top, e, j)]
+
+
 class TestBiPolyQEval:
-    """x_coeffs and q_eval against term-by-term references from items()."""
+    """The x-coefficient rows and q_eval against term-by-term references
+    from items()."""
 
     # x^2 + 2x + 2y + y^2, the Tutte polynomial of [[1, 0, 1, 1], [0, 1, 1, -1]]
     T = BiPolyXY({(2, 0): 1, (1, 0): 2, (0, 1): 2, (0, 2): 1})
 
     def test_example(self):
         assert from_matrix([[1, 0, 1, 1], [0, 1, 1, -1]]).tutte() == self.T
-        assert self.T.x_coeffs(2, 0) == [LaurentQ.const(3), LaurentQ.const(2),
-                                          LaurentQ.one()]
+        assert x_rows(self.T, 2, 0, 1) == [LaurentQ.const(3), LaurentQ.const(2),
+                                           LaurentQ.one()]
         assert self.T.q_eval(2, 1, 2, 0) == LaurentQ({0: 6, 1: 4, 2: 1})  # T(1+q, 1)
-        assert self.T.x_coeffs(3, -2) == [LaurentQ({-2: 2, -4: 1}), LaurentQ.const(2),
-                                          LaurentQ.one(), LaurentQ.zero()]
+        assert x_rows(self.T, 3, -2, 1) == [LaurentQ({-2: 2, -4: 1}), LaurentQ.const(2),
+                                            LaurentQ.one(), LaurentQ.zero()]
+        # times [2]_q^(3-a): (1+q)^3, (1+q)^2, 1+q and 1 in turn
+        assert x_rows(self.T, 3, -2, 2) == [LaurentQ({-4: 1, -3: 3, -2: 5, -1: 7, 0: 6, 1: 2}),
+                                            LaurentQ({0: 2, 1: 4, 2: 2}),
+                                            LaurentQ({0: 1, 1: 1}), LaurentQ.zero()]
 
     def test_top_below_x_degree_rejected(self):
         with pytest.raises(ValueError, match="x-degree"):
@@ -363,7 +395,8 @@ class TestBiPolyQEval:
 
     def test_zero_polynomial(self):
         for top in range(3):
-            assert BiPolyXY.zero().x_coeffs(top, 2) == [LaurentQ.zero()] * (top + 1)
+            for j in range(4):
+                assert x_rows(BiPolyXY.zero(), top, 2, j) == [LaurentQ.zero()] * (top + 1)
             assert BiPolyXY.zero().q_eval(2, 3, top, -1) == LaurentQ.zero()
 
     def test_suite(self):
@@ -371,7 +404,12 @@ class TestBiPolyQEval:
             T = M.tutte()
             for top in (T.x_degree(), T.x_degree() + 2):
                 for e in range(-3, 4):
-                    assert T.x_coeffs(top, e) == reference_x_coeffs(T, top, e), (T, top, e)
+                    ref = reference_x_coeffs(T, top, e)
+                    assert x_rows(T, top, e, 1) == ref, (T, top, e)
+                    for j in (0, 2, 3):
+                        assert x_rows(T, top, e, j) == [
+                            g * power(LaurentQ.q_int(j), top - a) for a, g in enumerate(ref)
+                        ], (T, top, e, j)
                     for k in range(4):
                         for j in range(4):
                             assert T.q_eval(k, j, top, e) == \
@@ -557,6 +595,15 @@ class TestDenseCoreEdges:
         assert p.to_triples() == [(0, 0, 1), (5, 0, 1)]
         assert all(isinstance(g, LaurentQ) for g in p.c)
         assert p.coeff(3) == LaurentQ.zero() and p.t_degree() == 5
+        # b below a (a front fill), a difference, and a gap in x
+        below = PolyTQ({5: 1}) + PolyTQ({1: LaurentQ.q_power(-2)})
+        diff = PolyTQ({2: 1}) - PolyTQ({6: LaurentQ.q_power(3, 4)})
+        xgap = BiPolyXY({(4, 1): 1}) + BiPolyXY({(0, 0): 2})
+        assert below.to_triples() == [(1, -2, 1), (5, 0, 1)]
+        assert diff.to_triples() == [(2, 0, 1), (6, 3, -4)]
+        assert xgap.to_triples() == [(0, 0, 2), (4, 1, 1)]
+        for v in (below, diff, xgap):
+            assert len(v.c) == 5 and all(isinstance(g, LaurentQ) for g in v.c), v
 
     def test_cancelled_ends_are_trimmed(self):
         a = LaurentQ({-2: BIG, 0: 1, 3: -BIG})
@@ -612,6 +659,31 @@ class TestNonIntegralRejected:
     def test_raises_naming_the_value(self, build, value):
         with pytest.raises(ValueError, match=rf"{value} is not an integer"):
             build()
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda M, T: M.thicken(2.0), "multiplicity"),
+        (lambda M, T: tutte_thickened(T, 2, 2.0), "multiplicity"),
+        (lambda M, T: tutte_thickened(T, 2.0, 2), "rank"),
+        (lambda M, T: hilbert(internal_spec(M, 2.0)), "multiplicity"),
+        (lambda M, T: external_spec(M, 2.0), "multiplicity"),
+        (lambda M, T: graded_hilbert(M, 2.0), "degree"),
+        (lambda M, T: bar_eval(ehr_poly(M), 2.0), "dilate"),
+        (lambda M, T: reciprocity_check(M, 2.0), "m_max"),
+        (lambda M, T: expand(series(M), 2.0), "up_to"),
+        (lambda M, T: T.q_eval(2.0, 1, 2, 0), "k"),
+        (lambda M, T: T.q_eval((3, 2.0), 1, 2, 0), "k"),
+        (lambda M, T: T.q_eval(2, 2.0, 2, 0), "j"),
+    ], ids=["thicken", "tutte_thickened-m", "tutte_thickened-d", "internal_spec",
+            "external_spec", "graded_hilbert", "bar_eval", "reciprocity_check",
+            "expand", "q_eval-k", "q_eval-k-tuple", "q_eval-j"])
+    def test_public_integer_arguments(self, call, what):
+        M = from_matrix(CORPUS_MATRICES["hexagon"])
+        T = M.tutte()
+        for _ in range(2):  # cold, then with the values at 2 cached
+            with pytest.raises(ValueError, match=rf"^{what} 2\.0 is not an integer$"):
+                call(M, T)
+            M.thicken(2), tutte_thickened(T, 2, 2), external_spec(M, 2)
+            graded_hilbert(M, 2), reciprocity_check(M, 2), expand(series(M), 2)
 
     def test_zero_float_rejected_and_ints_accepted(self):
         # a float zero coefficient is refused, not dropped as a zero term
