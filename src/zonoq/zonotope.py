@@ -2,38 +2,47 @@
 
 The H-description of Z = A * [0,1]^n comes straight from the cocircuit
 vectors: each one gives a pair of parallel facet inequalities, of width
-equal to its support size since A is unimodular.  Counting is plain enumeration
-against those inequalities, which is exact and independent of every closed
-formula it is used to check.
+equal to its support size since A is unimodular.
 
-The walk runs in the lattice basis of A's pivot columns B: on X = B^-1 A, read
-off the matroid's solved form and checked exactly against A once per matroid,
-so that a wrong solved form raises instead of feeding both the walk and the
-Tutte polynomial.  B is unimodular, so X has the same lattice points, and X
-is the same matrix for every presentation U A of the row space.  Its rows are
-the fundamental cocircuits, so the box is m * [-#neg, #pos] per row, and
-every facet normal, a cocircuit vector read at the pivots, lies in
-{0, +-1}^d.  The walk visits the bounding box without its longest coordinate
-column-wise: each facet's sums over a block of trailing coordinates are one
-list (facets x block points <= BLOCK_ENTRIES), and for each prefix of the
-other coordinates the lists fold elementwise into the integer interval left on
-the last coordinate; one step inside it lie the interior points.  One walk
-gives both counts, cached per (M, m).
+Counting enumerates the lattice points of mZ exactly, independent of every
+closed formula it is used to check, the Tutte polynomial included.  It rests
+on Shephard's tiling of Z into half-open unit parallelepipeds, the fact
+behind Stanley's lattice-point formula, not on the facets: A is unimodular,
+so each tile holds one lattice point, a vertex, and since mZ is the zonotope
+of the m-thickening, its lattice points are exactly the sums A b,
+b in {0..m}^n.  The count runs on X = B^-1 A, B the pivot columns of A: X is
+read off the matroid's solved form and checked exactly against A once per
+matroid, so that a wrong solved form raises instead of feeding both the
+count and the Tutte polynomial.  B is unimodular, so X has the same lattice
+points, and X is the same matrix for every presentation U A of the row
+space.  The points lie in the box m * [-#neg, #pos] per row of X, held as
+one Python int in mixed radix: from the origin's bit, each column adds its
+multiples by shift-ORs of the set, and partial sums never leave the box, so
+no shift wraps.  The rows of X are the fundamental cocircuits, so every
+facet normal, a cocircuit vector read at the pivots, lies in {0, +-1}^d,
+and p is interior iff p +- e_i lie in mZ for every i.  An interior point is
+off every face of the box, where no +-e_i shift wraps, so the interior set
+is the box off its faces ANDed with the 2d shifts of the points (p, the
+midpoint of p +- e_i, is then a point too), and the box needs no padding.
+BOX_GUARD bounds the box, so the bits of each int (10^7, about 1.25 MB,
+with at most four live at once) and the work on them: each column takes
+about log2(m+1) shift-ORs, each side of the face mask about log2 of its
+length, and the interior 2d shift-ANDs.  One sumset gives both counts,
+cached per (M, m).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product, repeat
-from operator import mul, sub
+from itertools import accumulate
+from operator import mul
 
 from .errors import GuardExceeded, NotUnimodular
 from .exact import _integer
 from .matroid import RealizedMatroid, invariant
 
-BOX_GUARD = 10**7
-BLOCK_ENTRIES = 2**16  # facets x block points the lattice walk holds at once
+BOX_GUARD = 10**7  # box points, one bit each in the lattice-point set
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,9 @@ def lattice_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:
 
 
 @invariant
-def _frame(M: RealizedMatroid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """(X, normals): X = D * R = B^-1 A from the solved form (pivots, R), D
-    its pivot entry and B the pivot columns of A, checked exactly against
-    B X = A; and each cocircuit's facet normal in X's coordinates, its
-    vector v read at the pivots, in ``M.cocircuits`` order."""
+def _frame(M: RealizedMatroid) -> list[list[int]]:
+    """X = D * R = B^-1 A from the solved form (pivots, R), D its pivot
+    entry and B the pivot columns of A, checked exactly against B X = A."""
     pivots, R = M._solved
     D = R[0][pivots[0]]
     X = [[D * x for x in row] for row in R]
@@ -96,62 +103,47 @@ def _frame(M: RealizedMatroid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
         b = [row[p] for p in pivots]
         if tuple(sum(map(mul, b, col)) for col in cols) != row:
             raise ArithmeticError("the solved form fails B * (D * R) = A")
-    return X, [tuple(cc.v[p] for p in pivots) for cc in M.cocircuits]
+    return X
+
+
+def _spread(bits: int, offset: int, count: int) -> int:
+    """The set bits + {0, 1, .., count - 1} * offset, by doubling; the
+    caller keeps every shifted bit inside its box."""
+    if count < 1:
+        return 0
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        shift = step * offset
+        bits |= bits << shift if shift >= 0 else bits >> -shift
+        done += step
+    return bits
 
 
 @invariant
 def _lattice_counts(M: RealizedMatroid, m: int) -> tuple[int, int]:
-    """(closed, interior) lattice-point counts of mZ, from one walk."""
-    rep = h_rep(M)
-    X, normals = _frame(M)
-    ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
-              for row in X]
-    volume = math.prod(map(len, ranges))
+    """(closed, interior) lattice-point counts of mZ, from one sumset."""
+    if not M.is_unimodular():
+        h_rep(M)  # raises NotUnimodular, naming a cocircuit
+    X = _frame(M)
+    sizes = [m * sum(map(abs, row)) + 1 for row in X]
+    volume = math.prod(sizes)
     if volume > BOX_GUARD:
         raise GuardExceeded(
             f"bounding box volume {volume} exceeds BOX_GUARD={BOX_GUARD}")
-    last = max(range(M.d), key=lambda i: len(ranges[i]))
-    spans = ranges[:last] + ranges[last + 1:]
-    # the block: the most trailing prefix coordinates whose points, one list
-    # of them per facet, fit in BLOCK_ENTRIES entries
-    split, size = len(spans), len(rep.facets)
-    while split and size * len(spans[split - 1]) <= BLOCK_ENTRIES:
-        split -= 1
-        size *= len(spans[split])
-    # lo <= <c', x'> + a * x_last <= hi per facet pair, a in {0, 1} once
-    # signed, with <c', x'> = s + x: s over the outer coordinates, x over the
-    # block
-    unit, flat = [], []
-    for f, normal in zip(rep.facets, normals):
-        a, lo, hi = normal[last], m * f.alpha_min, m * f.alpha_max
-        c = normal[:last] + normal[last + 1:]
-        if a < 0:
-            lo, hi, c = -hi, -lo, tuple(-x for x in c)
-        xs = [0]
-        for ci, r in zip(c[split:], spans[split:]):
-            xs = [s + ci * x for s in xs for x in r]
-        (unit if a else flat).append((c[:split], lo, hi, xs))
-    t_min, t_max, block = ranges[last][0], ranges[last][-1], len(xs)
-    closed = interior = 0
-    for prefix in product(*spans[:split]):
-        # x_last in [lo - v, hi + 1 - v) for v = s + x over the a = 1 facets,
-        # one step inside for interior points; a = 0 facets keep the block
-        # points whose slack min(v - lo, hi - v) is >= 0 (>= 1 for interior)
-        lows, highs = [repeat(t_min, block)], [repeat(t_max + 1, block)]
-        slacks = [repeat(1, block)]
-        for c, lo, hi, xs in unit:
-            s = sum(map(mul, c, prefix))
-            lows.append(map((lo - s).__sub__, xs))
-            highs.append(map((hi + 1 - s).__sub__, xs))
-        for c, lo, hi, xs in flat:
-            s = sum(map(mul, c, prefix))
-            slacks += [map((s - lo).__add__, xs), map((hi - s).__sub__, xs)]
-        lo_c, hi_c = list(map(max, zip(*lows))), list(map(min, zip(*highs)))
-        lo_i, hi_i = map((1).__add__, lo_c), map((-1).__add__, hi_c)
-        slack = list(map(min, zip(*slacks)))
-        closed += sum(map(max, compress(map(sub, hi_c, lo_c), map((-1).__lt__, slack)), repeat(0)))
-        interior += sum(map(max, compress(map(sub, hi_i, lo_i), map((0).__lt__, slack)), repeat(0)))
-    return closed, interior
+    strides = list(accumulate(sizes[:-1], mul, initial=1))
+    # the origin's bit: row i's coordinates start at m * (its negative sum)
+    points = 1 << -m * sum(s * sum(a for a in row if a < 0) for s, row in zip(strides, X))
+    for col in zip(*X):
+        points = _spread(points, sum(map(mul, col, strides)), m + 1)
+    # the box inside its faces: every coordinate one step off both ends
+    interior = 1 << sum(strides)
+    for s, size in zip(strides, sizes):
+        interior = _spread(interior, s, size - 2)
+    for s in strides:
+        interior &= points >> s
+        interior &= points << s
+    return points.bit_count(), interior.bit_count()
 
 
 def tutte_count(M: RealizedMatroid, m: int, interior: bool = False) -> int:

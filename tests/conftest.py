@@ -8,7 +8,8 @@ cocircuit rule that once decided unimodularity, the
 first-row solved-form and the per-minor Tutte recursions, dict polynomial
 arithmetic, term-by-term q-evaluation of a bivariate polynomial, series
 expansion by ``LaurentQ`` sums and shifts, the
-bounding-box lattice scan and the per-prefix interval walk, evaluation of both Ehrhart forms at [m]_q,
+bounding-box lattice scan, the per-prefix interval walk and the column walk
+that the lattice sumset replaced, evaluation of both Ehrhart forms at [m]_q,
 q-binomial interpolation by a q-difference table and by products,
 product-based series numerators, the product forms of the q-integer
 kernels, tuple-indexed zonotopal elimination, the harmonic presentation
@@ -560,6 +561,63 @@ def reference_lattice_count(M, m, interior=False):
         else:
             count += t_hi - t_lo + 1
     return count
+
+
+def column_walk_counts(M, m, block_entries=2**16):
+    """(closed, interior) lattice counts of mZ by the column walk that the
+    bitset sumset replaced: on X = B^-1 A, whose facet normals lie in
+    {0, +-1}^d, it visits the bounding box without its longest coordinate;
+    each facet's sums over a block of trailing coordinates are one list
+    (facets x block points <= block_entries), and for each prefix of the
+    other coordinates the lists fold elementwise into the integer interval
+    left on the last coordinate."""
+    rep = h_rep(M)
+    pivots, R = M._solved
+    D = R[0][pivots[0]]
+    X = [[D * x for x in row] for row in R]
+    normals = [tuple(cc.v[p] for p in pivots) for cc in M.cocircuits]
+    ranges = [range(m * sum(min(0, a) for a in row), m * sum(max(0, a) for a in row) + 1)
+              for row in X]
+    last = max(range(M.d), key=lambda i: len(ranges[i]))
+    spans = ranges[:last] + ranges[last + 1:]
+    split, size = len(spans), len(rep.facets)
+    while split and size * len(spans[split - 1]) <= block_entries:
+        split -= 1
+        size *= len(spans[split])
+    # lo <= <c', x'> + a * x_last <= hi per facet pair, a in {0, 1} once
+    # signed, with <c', x'> = s + x: s over the outer coordinates, x over the
+    # block
+    unit, flat = [], []
+    for f, normal in zip(rep.facets, normals):
+        a, lo, hi = normal[last], m * f.alpha_min, m * f.alpha_max
+        c = normal[:last] + normal[last + 1:]
+        if a < 0:
+            lo, hi, c = -hi, -lo, tuple(-x for x in c)
+        xs = [0]
+        for ci, r in zip(c[split:], spans[split:]):
+            xs = [s + ci * x for s in xs for x in r]
+        (unit if a else flat).append((c[:split], lo, hi, xs))
+    t_min, t_max = ranges[last][0], ranges[last][-1]
+    closed = interior = 0
+    for prefix in itertools.product(*spans[:split]):
+        # per block point: x_last in [max lo - v, min hi - v] over the a = 1
+        # facets, and slack min(v - lo, hi - v) over the a = 0 facets, >= 0
+        # for a point and >= 1 for an interior point
+        lows, highs, slacks = [[t_min] * len(xs)], [[t_max] * len(xs)], [[1] * len(xs)]
+        for c, lo, hi, xs in unit:
+            s = sum(map(operator.mul, c, prefix))
+            lows.append([lo - s - x for x in xs])
+            highs.append([hi - s - x for x in xs])
+        for c, lo, hi, xs in flat:
+            s = sum(map(operator.mul, c, prefix))
+            slacks += [[s + x - lo for x in xs], [hi - s - x for x in xs]]
+        for t_lo, t_hi, slack in zip(map(max, zip(*lows)), map(min, zip(*highs)),
+                                     map(min, zip(*slacks))):
+            if slack >= 0:
+                closed += max(0, t_hi - t_lo + 1)
+            if slack >= 1:
+                interior += max(0, t_hi - t_lo - 1)
+    return closed, interior
 
 
 def verify_zonotopal(M):

@@ -8,9 +8,27 @@ import re
 import pytest
 
 from conftest import (CORPUS_MATRICES, DIAMOND, R10, box_scan_count, change_of_basis,
-                      graphic, reference_lattice_count, sweep_matrices, wheel)
+                      column_walk_counts, graphic, reference_lattice_count, sweep_matrices, wheel)
 from zonoq import GuardExceeded, NotUnimodular, from_matrix, h_rep, lattice_count, tutte_count
 from zonoq import zonotope
+
+
+def assert_names_bad_cocircuits(call):
+    """``call(M)`` raises NotUnimodular naming a cocircuit vector of M with
+    an entry outside {-1, 0, 1}, on every non-unimodular sweep matrix."""
+    rejected = 0
+    for A in sweep_matrices():
+        M = from_matrix(A)
+        if M.is_unimodular():
+            continue
+        with pytest.raises(NotUnimodular) as info:
+            call(M)
+        named = re.fullmatch(r"cocircuit vector (\(.*\)) has an entry outside "
+                             r"\{-1, 0, 1\}", str(info.value))
+        v = ast.literal_eval(named.group(1))
+        assert v in [cc.v for cc in M.cocircuits] and max(map(abs, v)) > 1, A
+        rejected += 1
+    assert rejected >= 50
 
 
 class TestHRep:
@@ -33,19 +51,7 @@ class TestHRep:
     def test_non_unimodular_names_a_cocircuit(self):
         # the verdict comes from det(A A^T) and T_M(1, 1), the witness from
         # the cocircuits: every non-unimodular matrix must have one to name
-        rejected = 0
-        for A in sweep_matrices():
-            M = from_matrix(A)
-            if M.is_unimodular():
-                continue
-            with pytest.raises(NotUnimodular) as info:
-                h_rep(M)
-            named = re.fullmatch(r"cocircuit vector (\(.*\)) has an entry outside "
-                                 r"\{-1, 0, 1\}", str(info.value))
-            v = ast.literal_eval(named.group(1))
-            assert v in [cc.v for cc in M.cocircuits] and max(map(abs, v)) > 1, A
-            rejected += 1
-        assert rejected >= 50
+        assert_names_bad_cocircuits(h_rep)
 
     def test_d0_rejected(self):
         with pytest.raises(ValueError):
@@ -143,55 +149,61 @@ K4 = graphic(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 def steep(M):
     """Whether a facet of Z has a coefficient of absolute value >= 2 on the
-    coordinate the walk counts by interval, the longest of the box."""
+    coordinate the reference walk counts by interval, the longest of the
+    box."""
     rows = M.realization.entries
     last = max(range(M.d), key=lambda i: sum(map(abs, rows[i])))
     return any(abs(f.c[last]) >= 2 for f in h_rep(M).facets)
 
 
 @pytest.fixture(params=[None, 1, 7], ids=["one-block", "block-1", "block-7"])
-def block_entries(request, monkeypatch):
-    """BLOCK_ENTRIES as shipped, and small enough that the walk runs its outer
-    product over every prefix coordinate (1) or most of them (7)."""
-    if request.param is not None:
-        monkeypatch.setattr(zonotope, "BLOCK_ENTRIES", request.param)
+def block_entries(request):
+    """The column walk's block size as it shipped, and small enough that it
+    runs its outer product over every prefix coordinate (1) or most of them
+    (7)."""
+    return request.param or 2**16
 
 
 class TestColumnWalk:
-    """The column-wise walk against the per-prefix interval walk.  Each
-    check builds its matroids afresh, so no count is read from a cache
-    filled under another BLOCK_ENTRIES."""
+    """The bitset sumset over X = B^-1 A against the column walk over the
+    facets in X's coordinates that it replaced, at three block sizes, and
+    against the per-prefix interval walk over the facets in the user's
+    coordinates."""
 
-    @staticmethod
-    def assert_matches_reference(M, ms=(1, 2, 3)):
+    @pytest.fixture(autouse=True)
+    def _block(self, block_entries):
+        self.block_entries = block_entries
+
+    def assert_matches_reference(self, M, ms=(1, 2, 3)):
         for m in ms:
+            walked = column_walk_counts(M, m, self.block_entries)
             for interior in (False, True):
-                assert lattice_count(M, m, interior) == \
+                assert lattice_count(M, m, interior) == walked[interior] == \
                     reference_lattice_count(M, m, interior), (M.realization, m, interior)
 
-    def test_unimodular_sweep(self, block_entries):
+    def test_unimodular_sweep(self):
         unimodular = [M for M in map(from_matrix, sweep_matrices()) if M.is_unimodular()]
         assert len(unimodular) > 100
         for M in unimodular:
             self.assert_matches_reference(M)
 
-    def test_corpus_r10_k4(self, block_entries):
+    def test_corpus_r10_k4(self):
         for A in [*CORPUS_MATRICES.values(), R10, K4]:
             self.assert_matches_reference(from_matrix(A))
 
-    def test_corpus_thickenings(self, block_entries):
+    def test_corpus_thickenings(self):
         for A in CORPUS_MATRICES.values():
             for k in (2, 3):
                 if k * len(A[0]) <= 16:
                     self.assert_matches_reference(from_matrix(A).thicken(k))
 
-    def test_loops_coloops_and_d1(self, block_entries):
+    def test_loops_coloops_and_d1(self):
         for A in ([[1]], [[1, 1, 1]], [[0, 1, 0, -1]], [[1, 0, 0, 1], [0, 0, 1, 1]],
                   [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
                   [[0, 1, 0, 1], [1, 0, 0, 0]]):
             self.assert_matches_reference(from_matrix(A))
 
-    def test_steep_facets(self, block_entries):
+    def test_steep_facets(self):
         fixed = [[[1, 2], [1, 3]], [[1, 2, 0], [1, 3, 0], [0, 1, 1]],
                  [[1, 2, 0], [1, 3, 0], [0, 0, 1]]]
         rng = random.Random(7)
@@ -211,19 +223,42 @@ class TestColumnWalk:
         for M in presented:
             self.assert_matches_reference(M, ms=(1,))
 
-    def test_one_walk_per_dilate(self, monkeypatch):
-        calls = []
 
-        def counted(M):
-            calls.append(M)
-            return h_rep(M)
-        monkeypatch.setattr(zonotope, "h_rep", counted)
+class TestSumset:
+    """The sumset's cache, its reads of the matroid, and its counts at the
+    scale of BOX_GUARD."""
+
+    def test_one_sumset_per_dilate(self):
+        # the closed and interior counts of a dilate share one cache entry
         M = from_matrix(CORPUS_MATRICES["hexagon"])
+
+        def dilates():
+            return sorted(k[1] for k in M._derived if k[0] == "_lattice_counts")
         assert (lattice_count(M, 2), lattice_count(M, 2, True)) == (19, 7)
         assert lattice_count(M, 2, interior=False) == 19
-        assert len(calls) == 1
+        assert dilates() == [2]
         assert lattice_count(M, 3, True) == 19
-        assert len(calls) == 2
+        assert dilates() == [2, 3]
+
+    def test_unimodular_reads_no_cocircuit(self):
+        for A in [*CORPUS_MATRICES.values(), R10, K4, wheel(5)]:
+            M = from_matrix(A)
+            for m in (1, 2):
+                lattice_count(M, m)
+                lattice_count(M, m, True)
+            assert "cocircuits" not in M.__dict__, A
+
+    def test_non_unimodular_names_a_cocircuit(self):
+        assert_names_bad_cocircuits(lambda M: lattice_count(M, 1))
+
+    @pytest.mark.parametrize("spokes, m", [(7, 2), (7, 3), (8, 2)])
+    def test_guard_scale_wheels(self, spokes, m):
+        # wheel(7) at m = 3 fills BOX_GUARD exactly: 10 values per coordinate
+        rng = random.Random(spokes * m)
+        for A in (wheel(spokes), change_of_basis(wheel(spokes), rng)):
+            M = from_matrix(A)
+            for interior in (False, True):
+                assert lattice_count(M, m, interior) == tutte_count(M, m, interior)
 
     def test_box_guard_on_every_call(self):
         M = from_matrix(CORPUS_MATRICES["boolean3"])
@@ -234,7 +269,7 @@ class TestColumnWalk:
 
 
 class TestSolvedFrame:
-    """The walk runs on X = B^-1 A, B the pivot (greedy basis) columns of A,
+    """The sumset runs on X = B^-1 A, B the pivot (greedy basis) columns of A,
     which every presentation U A of the same row space shares."""
 
     def test_guard_message_is_presentation_free(self, monkeypatch):
@@ -256,7 +291,7 @@ class TestSolvedFrame:
             lattice_count(from_matrix(wheel(8)), 2)
 
     def test_wrong_solved_form_raises(self):
-        # every one-entry change of R fails B * (D * R) = A, and the walk
+        # every one-entry change of R fails B * (D * R) = A, and the sumset
         # must not count on it; unimodularity and cocircuits are read first
         for A in (CORPUS_MATRICES["hexagon"], K4):
             pivots, R = from_matrix(A)._solved
